@@ -6,9 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use tracered_core::criticality::{
-    subgraph_phase_scores, tree_phase_scores, tree_phase_scores_threads,
-};
+use tracered_core::criticality::{subgraph_phase_scores_threads, tree_phase_scores_threads};
 use tracered_core::metrics::relative_condition_number;
 use tracered_core::{sparsify, Method, SparsifyConfig};
 use tracered_graph::gen::{tri_mesh, WeightProfile};
@@ -70,7 +68,7 @@ fn bench_scoring(c: &mut Criterion) {
         f.off_tree.iter().map(|&id| (f.g.edge(id).u, f.g.edge(id).v)).collect();
     let rs = tree_resistances(&f.tree, &pairs);
     c.bench_function("tree_phase_scores_beta5", |b| {
-        b.iter(|| tree_phase_scores(black_box(&f.g), &f.tree, &f.off_tree, &rs, 5))
+        b.iter(|| tree_phase_scores_threads(black_box(&f.g), &f.tree, &f.off_tree, &rs, 5, 1))
     });
     let mut sub = f.tree_edges.clone();
     sub.extend(f.off_tree.iter().take(f.g.num_nodes() / 50).copied());
@@ -80,7 +78,17 @@ fn bench_scoring(c: &mut Criterion) {
     let zinv = ApproxInverse::build(factor.l(), SpaiOptions::with_threshold(0.1)).unwrap();
     let subgraph = f.g.edge_subgraph(&sub);
     c.bench_function("subgraph_phase_scores_beta5", |b| {
-        b.iter(|| subgraph_phase_scores(black_box(&f.g), &subgraph, &factor, &zinv, &candidates, 5))
+        b.iter(|| {
+            subgraph_phase_scores_threads(
+                black_box(&f.g),
+                &subgraph,
+                &factor,
+                &zinv,
+                &candidates,
+                5,
+                1,
+            )
+        })
     });
 }
 

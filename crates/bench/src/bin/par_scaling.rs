@@ -4,9 +4,11 @@
 //! measures the sparsification hot paths at 1/2/4/8 worker threads:
 //!
 //! - `tree_resistances` — batch LCA over all off-tree candidates;
-//! - `tree_phase_scores` — β-layer trace-reduction scoring vs the tree;
+//! - `tree_phase_scores` — β-layer trace-reduction scoring vs the tree
+//!   (`tree_phase_scores_threads`);
 //! - `subgraph_phase_scores` — SPAI-based scoring vs a denser subgraph
-//!   (`--full` only: it needs a full-size Cholesky factorization);
+//!   (`subgraph_phase_scores_threads`,
+//!   `--full` only: it needs a full-size Cholesky factorization);
 //! - `sym_matvec` — the parallel SpMV behind PCG and Hutchinson;
 //! - `pcg` — a tree-preconditioned solve, recording iteration counts.
 //!
@@ -20,8 +22,8 @@
 //!
 //! - `factor_scaling` — the numeric Cholesky sweep: an n × threads ×
 //!   kernel grid of serial-vs-parallel factorization times
-//!   (`CholeskyFactor::factorize_kernel` with the scalar up-looking and
-//!   the supernodal blocked kernels), with the elimination-tree
+//!   (`CholeskyFactor::factorize_with_perm_kernel` with the scalar
+//!   up-looking and the supernodal blocked kernels), with the elimination-tree
 //!   schedule's shape (jobs, parallel-column fraction, tree height) and
 //!   the supernode partition's shape (count, mean/max panel width,
 //!   padded cells) recorded per cell, plus a traced run per cell
@@ -564,14 +566,24 @@ fn main() {
     // the factor_scaling speedups run into.
     if let Some(obs_path) = &args.obs_out {
         let tmax = *args.threads.iter().max().expect("threads are non-empty");
-        let baseline =
-            CholeskyFactor::factorize_threads(&lg, Ordering::MinDegree, tmax).expect("SPD");
+        let baseline = CholeskyFactor::factorize_with_perm_kernel(
+            &lg,
+            Ordering::MinDegree.compute(&lg).expect("square matrix"),
+            KernelVariant::Scalar,
+            tmax,
+        )
+        .expect("SPD");
 
         let recorder = tracered_obs::recorder();
         recorder.reset();
         tracered_obs::set_enabled(true);
-        let traced =
-            CholeskyFactor::factorize_threads(&lg, Ordering::MinDegree, tmax).expect("SPD");
+        let traced = CholeskyFactor::factorize_with_perm_kernel(
+            &lg,
+            Ordering::MinDegree.compute(&lg).expect("square matrix"),
+            KernelVariant::Scalar,
+            tmax,
+        )
+        .expect("SPD");
         let sol = pcg(&lg, &b, &pre, &PcgOptions::with_tolerance(1e-3).threads(tmax));
         tracered_obs::set_enabled(false);
         assert!(sol.converged, "traced PCG must converge");

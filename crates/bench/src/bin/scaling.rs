@@ -1,11 +1,11 @@
-//! Scaling study: how the trace-reduction advantage over GRASS grows
+//! Scaling study: how the trace-reduction advantage over GRASS changes
 //! with problem size.
 //!
-//! EXPERIMENTS.md observes that the measured κ-reduction (1.9× at ~10k
-//! nodes) trails the paper's 2.6× (at 0.5M–4M nodes) and attributes the
-//! gap to scale. This binary makes that claim checkable: it sweeps one
-//! Table-1 case over `--scale`-multiplied sizes and prints the reduction
-//! factors per size.
+//! The paper reports a 2.6× average κ-reduction at 0.5M–4M nodes. This
+//! binary sweeps one Table-1 case over `--scale`-multiplied sizes and
+//! prints the reduction factors per size. On `trimesh-rect` the measured
+//! ratio falls with size rather than closing on the paper's figure: 4.04×
+//! at 1.2k nodes, 1.42× at 42k.
 //!
 //! Usage: `scaling [--scale f] [--case name]` (the sweep is multiplied
 //! by `--scale`; default covers ~500 → ~50k nodes).

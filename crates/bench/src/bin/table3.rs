@@ -16,7 +16,9 @@ use tracered_bench::{geomean, mib, parse_args, table1_cases};
 use tracered_core::{Method, SparsifyConfig};
 use tracered_graph::laplacian::ShiftPolicy;
 use tracered_graph::Graph;
-use tracered_partition::{bisect_direct, bisect_pcg, partition_shift, relative_error, Bisection};
+use tracered_partition::{
+    bisect_direct_threads, bisect_pcg, partition_shift, relative_error, Bisection,
+};
 use tracered_solver::precond::{CholPreconditioner, Preconditioner};
 
 const STEPS: usize = 5;
@@ -71,7 +73,7 @@ fn main() {
             tracered_solver::DirectSolver::new(&l).expect("SPD").memory_bytes()
         };
         let t0 = Instant::now();
-        let direct_bis = bisect_direct(&g, STEPS, SEED).expect("bisection");
+        let direct_bis = bisect_direct_threads(&g, STEPS, SEED, 1).expect("bisection");
         let direct = (direct_bis, t0.elapsed().as_secs_f64(), direct_mem);
         let (gr_bis, gr_time, _gr_mem) = iterative(&g, Method::Grass);
         let (tr_bis, tr_time, tr_mem) = iterative(&g, Method::TraceReduction);

@@ -19,7 +19,7 @@ use tracered_core::{sparsify, Method, SparsifyConfig};
 use tracered_graph::laplacian::ShiftPolicy;
 use tracered_graph::mmio::{read_graph_path, write_laplacian, MmGraph};
 use tracered_graph::Graph;
-use tracered_partition::recursive_bisection;
+use tracered_partition::recursive_bisection_threads;
 use tracered_solver::pcg::{pcg, PcgOptions};
 use tracered_solver::precond::CholPreconditioner;
 
@@ -86,7 +86,9 @@ fn load(path: &str) -> Result<MmGraph, String> {
     read_graph_path(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-/// Grounding: file slack plus a relative floor, as DESIGN.md §3 requires.
+/// Grounding: file slack plus a floor of 1e-3 of the mean weighted degree
+/// (the `SparsifyConfig` default) — a vanishing shift defeats Algorithm
+/// 1's max-relative pruning.
 fn grounding(mm: &MmGraph) -> Vec<f64> {
     let n = mm.graph.num_nodes().max(1);
     let floor = 1e-3 * 2.0 * mm.graph.total_weight() / n as f64;
@@ -168,7 +170,7 @@ fn cmd_partition(opt: &Options) -> Result<(), String> {
     if !mm.graph.is_connected() {
         return Err("matrix graph is disconnected".into());
     }
-    let p = recursive_bisection(&mm.graph, opt.parts, 8, 1)
+    let p = recursive_bisection_threads(&mm.graph, opt.parts, 8, 1, 1)
         .map_err(|e| format!("partitioning failed: {e}"))?;
     println!("parts       : {}", p.parts);
     println!("cut weight  : {:.6e}", p.cut_weight);

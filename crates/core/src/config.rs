@@ -95,8 +95,8 @@ impl SparsifyConfig {
             // matrices additionally carry physical diagonal dominance
             // (ground conductance). A vanishing shift makes L⁻¹'s columns
             // share a huge near-nullspace tail that defeats Algorithm 1's
-            // max-relative pruning (see DESIGN.md §3 and the shift-sweep
-            // ablation bench), so the default grounds at 1e-3 of the mean
+            // max-relative pruning (the grounding sweep of the `ablation`
+            // bench measures it), so the default grounds at 1e-3 of the mean
             // weighted degree — the scale the paper's benchmarks live at.
             shift: ShiftPolicy::RelativeMeanDegree(1e-3),
             grass_power_steps: 2,
@@ -146,8 +146,8 @@ impl SparsifyConfig {
     /// on `t` workers, `None` uses the hardware's available parallelism.
     ///
     /// The parallel factorization is **bit-identical** to the serial one
-    /// (see [`tracered_sparse::CholeskyFactor::factorize_threads`]), so
-    /// this knob changes `factor_time` only — sparsifier edge sets,
+    /// (see [`tracered_sparse::CholeskyFactor::factorize_with_perm_kernel`]),
+    /// so this knob changes `factor_time` only — sparsifier edge sets,
     /// scores, and solve results are unchanged at every setting.
     pub fn factor_threads(mut self, threads: Option<usize>) -> Self {
         self.factor_threads = threads;
@@ -181,7 +181,7 @@ impl SparsifyConfig {
     /// Diagonal-boost retry ladder for the per-iteration subgraph
     /// factorizations: `None` (the default) surfaces a non-positive
     /// pivot as [`crate::CoreError::Sparse`]; `Some(schedule)` retries
-    /// through [`tracered_sparse::factorize_regularized_threads`] and
+    /// through [`tracered_sparse::factorize_regularized_kernel`] and
     /// records the applied shift in
     /// [`crate::IterationStats::applied_shift`]. The boost is applied to
     /// the factorization *input*, so factor bit-identity across thread

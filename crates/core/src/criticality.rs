@@ -20,10 +20,10 @@
 //!
 //! Two evaluators are provided:
 //!
-//! - [`tree_phase_scores`]: exact voltage propagation when `S` is a tree
+//! - [`tree_phase_scores_threads`]: exact voltage propagation when `S` is a tree
 //!   (Eqs. 13–15) — current flows only along the unique `p→q` tree path,
 //!   so node voltages follow from BFS with the path edges marked;
-//! - [`subgraph_phase_scores`]: general subgraphs via the sparse
+//! - [`subgraph_phase_scores_threads`]: general subgraphs via the sparse
 //!   approximate inverse `Z̃ ≈ L⁻¹` of the Cholesky factor (Eq. 20).
 //!
 //! # Parallel evaluation
@@ -155,7 +155,8 @@ fn tree_phase_score_one(
 }
 
 /// Scores all `candidates` (off-tree edge ids of `g`) against the spanning
-/// tree using the truncated trace reduction of Eq. 15.
+/// tree using the truncated trace reduction of Eq. 15, on `threads`
+/// workers.
 ///
 /// `resistances[k]` must hold the tree effective resistance
 /// `R_T(p_k, q_k)` of candidate `k` (batch-computed with
@@ -163,30 +164,15 @@ fn tree_phase_score_one(
 /// truncation radius.
 ///
 /// Returns one score per candidate, aligned with the input order.
+/// Candidates are chunked onto a work-stealing queue; each worker owns a
+/// private scratch arena (stamps, voltages, BFS queue), so scores are
+/// bit-identical to the serial path (`threads == 1`) in the original
+/// candidate order.
 ///
 /// # Panics
 ///
 /// Panics if `resistances.len() != candidates.len()` or an edge id is out
 /// of bounds.
-pub fn tree_phase_scores(
-    g: &Graph,
-    tree: &RootedTree,
-    candidates: &[usize],
-    resistances: &[f64],
-    beta: usize,
-) -> Vec<f64> {
-    tree_phase_scores_threads(g, tree, candidates, resistances, beta, 1)
-}
-
-/// [`tree_phase_scores`] evaluated on `threads` workers.
-///
-/// Candidates are chunked onto a work-stealing queue; each worker owns a
-/// private scratch arena (stamps, voltages, BFS queue), so scores are
-/// bit-identical to the serial path in the original candidate order.
-///
-/// # Panics
-///
-/// Same conditions as [`tree_phase_scores`].
 pub fn tree_phase_scores_threads(
     g: &Graph,
     tree: &RootedTree,
@@ -268,33 +254,6 @@ fn tree_bfs_voltages(
             queue.push_back((nbr, d + 1));
         }
     }
-}
-
-/// Scores all `candidates` (off-subgraph edge ids of `g`) against a
-/// general subgraph using the SPAI-based approximation of Eq. 20.
-///
-/// Arguments:
-///
-/// - `subgraph`: the current sparsifier as a graph over the same node set
-///   (used for the β-layer BFS — the electrical model lives in `S`);
-/// - `factor`: Cholesky factorization of the subgraph Laplacian `L_S`;
-/// - `zinv`: Algorithm 1 output for `factor.l()`;
-/// - `beta`: BFS truncation radius.
-///
-/// Returns one score per candidate, aligned with the input order.
-///
-/// # Panics
-///
-/// Panics if dimensions are inconsistent.
-pub fn subgraph_phase_scores(
-    g: &Graph,
-    subgraph: &Graph,
-    factor: &CholeskyFactor,
-    zinv: &ApproxInverse,
-    candidates: &[usize],
-    beta: usize,
-) -> Vec<f64> {
-    subgraph_phase_scores_threads(g, subgraph, factor, zinv, candidates, beta, 1)
 }
 
 /// Reusable scratch for subgraph-phase scoring — one arena per worker.
@@ -403,15 +362,26 @@ fn subgraph_phase_score_one(
     w * sum / (1.0 + w * r_approx)
 }
 
-/// [`subgraph_phase_scores`] evaluated on `threads` workers.
+/// Scores all `candidates` (off-subgraph edge ids of `g`) against a
+/// general subgraph using the SPAI-based approximation of Eq. 20, on
+/// `threads` workers.
 ///
-/// Same work-stealing decomposition and determinism contract as
+/// Arguments:
+///
+/// - `subgraph`: the current sparsifier as a graph over the same node set
+///   (used for the β-layer BFS — the electrical model lives in `S`);
+/// - `factor`: Cholesky factorization of the subgraph Laplacian `L_S`;
+/// - `zinv`: Algorithm 1 output for `factor.l()`;
+/// - `beta`: BFS truncation radius.
+///
+/// Returns one score per candidate, aligned with the input order. Same
+/// work-stealing decomposition and determinism contract as
 /// [`tree_phase_scores_threads`]: one scratch arena (stamps, BFS queue,
 /// z̃ scatter buffer) per worker, bit-identical index-aligned output.
 ///
 /// # Panics
 ///
-/// Same conditions as [`subgraph_phase_scores`].
+/// Panics if dimensions are inconsistent.
 pub fn subgraph_phase_scores_threads(
     g: &Graph,
     subgraph: &Graph,
@@ -506,7 +476,7 @@ mod tests {
         // every tree edge drops 1 and the off-tree edge drops 3:
         // sum = 3·1² + 3² = 12, score = 1·12 / (1 + 3) = 3.
         let (g, tree, off) = cycle(4);
-        let scores = tree_phase_scores(&g, &tree, &[off], &[3.0], 10);
+        let scores = tree_phase_scores_threads(&g, &tree, &[off], &[3.0], 10, 1);
         assert!((scores[0] - 3.0).abs() < 1e-12, "got {}", scores[0]);
     }
 
@@ -516,7 +486,7 @@ mod tests {
         // directly between p and q survive — here just the candidate
         // itself: score = w·(w_pq R²)/(1+wR) = 9/4.
         let (g, tree, off) = cycle(4);
-        let scores = tree_phase_scores(&g, &tree, &[off], &[3.0], 0);
+        let scores = tree_phase_scores_threads(&g, &tree, &[off], &[3.0], 0, 1);
         assert!((scores[0] - 9.0 / 4.0).abs() < 1e-12, "got {}", scores[0]);
     }
 
@@ -530,7 +500,7 @@ mod tests {
         let rs = tree_resistances(&tree, &pairs);
         let mut prev: Option<Vec<f64>> = None;
         for beta in [0usize, 1, 2, 4, 8] {
-            let s = tree_phase_scores(&g, &tree, &st.off_tree_edges, &rs, beta);
+            let s = tree_phase_scores_threads(&g, &tree, &st.off_tree_edges, &rs, beta, 1);
             if let Some(p) = prev {
                 for (a, b) in s.iter().zip(p.iter()) {
                     assert!(a + 1e-12 >= *b, "score must grow with beta: {a} < {b}");
@@ -551,13 +521,14 @@ mod tests {
         let pairs: Vec<(usize, usize)> =
             st.off_tree_edges.iter().map(|&id| (g.edge(id).u, g.edge(id).v)).collect();
         let rs = tree_resistances(&tree, &pairs);
-        let tree_scores = tree_phase_scores(&g, &tree, &st.off_tree_edges, &rs, n);
+        let tree_scores = tree_phase_scores_threads(&g, &tree, &st.off_tree_edges, &rs, n, 1);
         let shifts = vec![1e-9; n];
         let ls = subgraph_laplacian(&g, &st.tree_edges, &shifts);
         let factor = CholeskyFactor::factorize(&ls, Ordering::MinDegree).unwrap();
         let zinv = ApproxInverse::build(factor.l(), SpaiOptions::with_threshold(0.0)).unwrap();
         let sub = g.edge_subgraph(&st.tree_edges);
-        let sub_scores = subgraph_phase_scores(&g, &sub, &factor, &zinv, &st.off_tree_edges, n);
+        let sub_scores =
+            subgraph_phase_scores_threads(&g, &sub, &factor, &zinv, &st.off_tree_edges, n, 1);
         for (k, (a, b)) in tree_scores.iter().zip(sub_scores.iter()).enumerate() {
             assert!(
                 (a - b).abs() < 1e-4 * (1.0 + a.abs()),
@@ -575,7 +546,7 @@ mod tests {
             st.off_tree_edges.iter().map(|&id| (g.edge(id).u, g.edge(id).v)).collect();
         let rs = tree_resistances(&tree, &pairs);
         for beta in [1usize, 3, 5] {
-            for s in tree_phase_scores(&g, &tree, &st.off_tree_edges, &rs, beta) {
+            for s in tree_phase_scores_threads(&g, &tree, &st.off_tree_edges, &rs, beta, 1) {
                 assert!(s.is_finite() && s >= 0.0);
             }
         }
@@ -584,13 +555,13 @@ mod tests {
     #[test]
     fn empty_candidate_list_yields_empty_scores() {
         let (g, tree, _) = cycle(5);
-        assert!(tree_phase_scores(&g, &tree, &[], &[], 3).is_empty());
+        assert!(tree_phase_scores_threads(&g, &tree, &[], &[], 3, 1).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "one resistance per candidate")]
     fn mismatched_resistances_panic() {
         let (g, tree, off) = cycle(5);
-        tree_phase_scores(&g, &tree, &[off], &[], 3);
+        tree_phase_scores_threads(&g, &tree, &[off], &[], 3, 1);
     }
 }

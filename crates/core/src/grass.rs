@@ -19,7 +19,8 @@ use rand::{Rng, SeedableRng};
 use tracered_graph::Graph;
 use tracered_sparse::{CholeskyFactor, CscMatrix};
 
-/// Scores `candidates` by GRASS spectral-perturbation criticality.
+/// Scores `candidates` by GRASS spectral-perturbation criticality, with
+/// the probe evaluations fanned out over `threads` workers.
 ///
 /// - `lg`: shifted Laplacian of the full graph;
 /// - `factor`: Cholesky factorization of the current subgraph Laplacian;
@@ -29,33 +30,16 @@ use tracered_sparse::{CholeskyFactor, CscMatrix};
 ///
 /// Returns one score per candidate, aligned with the input order.
 ///
-/// # Panics
-///
-/// Panics if dimensions disagree or `power_steps == 0`.
-pub fn grass_scores(
-    g: &Graph,
-    lg: &CscMatrix,
-    factor: &CholeskyFactor,
-    candidates: &[usize],
-    power_steps: usize,
-    num_vectors: usize,
-    rng: &mut StdRng,
-) -> Vec<f64> {
-    grass_scores_threads(g, lg, factor, candidates, power_steps, num_vectors, rng, 1)
-}
-
-/// [`grass_scores`] with the probe evaluations fanned out over
-/// `threads` workers.
-///
 /// The random ±1 probes are drawn serially (preserving the RNG stream),
 /// then each probe's power iteration and candidate scoring run as an
 /// independent work-stealing job with private `h`/`tmp` buffers. Probe
 /// contributions are reduced in probe order, so results are
-/// bit-identical to the serial path for every thread count.
+/// bit-identical to the serial path (`threads == 1`) for every thread
+/// count.
 ///
 /// # Panics
 ///
-/// Same conditions as [`grass_scores`].
+/// Panics if dimensions disagree or `power_steps == 0`.
 #[allow(clippy::too_many_arguments)]
 pub fn grass_scores_threads(
     g: &Graph,
@@ -192,7 +176,7 @@ mod tests {
     fn scores_are_finite_and_nonnegative() {
         let (g, lg, factor, off) = setup();
         let mut rng = probe_rng(1);
-        let s = grass_scores(&g, &lg, &factor, &off, 2, 3, &mut rng);
+        let s = grass_scores_threads(&g, &lg, &factor, &off, 2, 3, &mut rng, 1);
         assert_eq!(s.len(), off.len());
         for &v in &s {
             assert!(v.is_finite() && v >= 0.0);
@@ -203,10 +187,10 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (g, lg, factor, off) = setup();
-        let a = grass_scores(&g, &lg, &factor, &off, 2, 3, &mut probe_rng(5));
-        let b = grass_scores(&g, &lg, &factor, &off, 2, 3, &mut probe_rng(5));
+        let a = grass_scores_threads(&g, &lg, &factor, &off, 2, 3, &mut probe_rng(5), 1);
+        let b = grass_scores_threads(&g, &lg, &factor, &off, 2, 3, &mut probe_rng(5), 1);
         assert_eq!(a, b);
-        let c = grass_scores(&g, &lg, &factor, &off, 2, 3, &mut probe_rng(6));
+        let c = grass_scores_threads(&g, &lg, &factor, &off, 2, 3, &mut probe_rng(6), 1);
         assert_ne!(a, c);
     }
 
@@ -227,7 +211,7 @@ mod tests {
         let ls = subgraph_laplacian(&g, &sub, &shifts);
         let factor = CholeskyFactor::factorize(&ls, Ordering::MinDegree).unwrap();
         let candidates = vec![19usize, 20usize];
-        let s = grass_scores(&g, &lg, &factor, &candidates, 3, 5, &mut probe_rng(2));
+        let s = grass_scores_threads(&g, &lg, &factor, &candidates, 3, 5, &mut probe_rng(2), 1);
         // The ring-closing edge (0,19) spans the full path: it must beat
         // the chord (5,15) which spans half.
         assert!(s[0] > s[1], "ring edge {} should beat chord {}", s[0], s[1]);

@@ -58,31 +58,18 @@ pub fn relative_condition_number(
 }
 
 /// Hutchinson stochastic estimate of `Trace(L_P⁻¹ L_G)` with Rademacher
-/// probes: `mean_z zᵀ L_P⁻¹ L_G z`.
-///
-/// # Panics
-///
-/// Panics if dimensions disagree or `probes == 0`.
-pub fn trace_proxy_hutchinson(
-    lg: &CscMatrix,
-    lp_factor: &CholeskyFactor,
-    probes: usize,
-    seed: u64,
-) -> f64 {
-    trace_proxy_hutchinson_threads(lg, lp_factor, probes, seed, 1)
-}
-
-/// [`trace_proxy_hutchinson`] with the probe evaluations fanned out over
-/// `threads` workers.
+/// probes, `mean_z zᵀ L_P⁻¹ L_G z`, with the probe evaluations fanned out
+/// over `threads` workers.
 ///
 /// Probes are drawn serially (fixed RNG stream), each probe's
 /// matvec-and-solve runs as an independent work item with private
 /// buffers, and the per-probe quadratic forms are averaged in probe
-/// order — bit-identical to the serial path for every thread count.
+/// order — bit-identical to the serial path (`threads == 1`) for every
+/// thread count.
 ///
 /// # Panics
 ///
-/// Same conditions as [`trace_proxy_hutchinson`].
+/// Panics if dimensions disagree or `probes == 0`.
 pub fn trace_proxy_hutchinson_threads(
     lg: &CscMatrix,
     lp_factor: &CholeskyFactor,
@@ -225,7 +212,7 @@ mod tests {
     fn hutchinson_approaches_exact_trace() {
         let (lg, tree, _) = setup();
         let exact = trace_proxy_exact(&lg, &tree);
-        let est = trace_proxy_hutchinson(&lg, &tree, 200, 9);
+        let est = trace_proxy_hutchinson_threads(&lg, &tree, 200, 9, 1);
         assert!((est - exact).abs() < 0.15 * exact, "hutchinson {est} vs exact {exact}");
     }
 

@@ -7,7 +7,7 @@
 //! breaks that bottleneck by decomposing the problem:
 //!
 //! 1. k-way partition the graph by recursive spectral bisection
-//!    ([`tracered_partition::recursive_bisection`]);
+//!    ([`tracered_partition::recursive_bisection_threads`]);
 //! 2. extract each part's induced subgraph with local↔global index maps
 //!    ([`tracered_partition::KWayPartition::extract_subgraphs`]);
 //! 3. run the **full densification loop** — spanning tree, criticality

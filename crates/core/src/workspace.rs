@@ -12,7 +12,7 @@
 ///
 /// Shared by the GRASS probe evaluator (`grass::grass_scores_threads`:
 /// probe + power-iteration temp) and the Hutchinson trace estimator
-/// (`metrics::trace_proxy_hutchinson`: `L_G z` + solve output). Both
+/// (`metrics::trace_proxy_hutchinson_threads`: `L_G z` + solve output). Both
 /// resize to the region's `n` and fully overwrite each vector per job,
 /// so only capacity carries over between regions — never values.
 #[derive(Default)]

@@ -3,7 +3,7 @@
 //! both phases must reproduce the exact scores; with the paper's defaults
 //! they must stay close enough to preserve rankings.
 
-use tracered_core::criticality::{subgraph_phase_scores, tree_phase_scores};
+use tracered_core::criticality::{subgraph_phase_scores_threads, tree_phase_scores_threads};
 use tracered_core::exact;
 use tracered_graph::gen::{random_connected, tri_mesh, WeightProfile};
 use tracered_graph::laplacian::subgraph_laplacian;
@@ -26,7 +26,7 @@ fn tree_phase_with_full_beta_matches_grounded_oracle() {
     let pairs: Vec<(usize, usize)> = off.iter().map(|&id| (g.edge(id).u, g.edge(id).v)).collect();
     let rs = tree_resistances(&tree, &pairs);
     // β = n covers the whole tree → the truncation is exact.
-    let truncated = tree_phase_scores(&g, &tree, &off, &rs, g.num_nodes());
+    let truncated = tree_phase_scores_threads(&g, &tree, &off, &rs, g.num_nodes(), 1);
     for (k, &eid) in off.iter().enumerate() {
         let oracle = exact::trace_reduction_grounded(&g, &tree_edges, eid).unwrap();
         let rel = (truncated[k] - oracle).abs() / (1.0 + oracle.abs());
@@ -43,7 +43,7 @@ fn tree_phase_truncation_never_exceeds_exact() {
     let pairs: Vec<(usize, usize)> = off.iter().map(|&id| (g.edge(id).u, g.edge(id).v)).collect();
     let rs = tree_resistances(&tree, &pairs);
     for beta in [1usize, 2, 3, 5] {
-        let truncated = tree_phase_scores(&g, &tree, &off, &rs, beta);
+        let truncated = tree_phase_scores_threads(&g, &tree, &off, &rs, beta, 1);
         for (k, &eid) in off.iter().enumerate() {
             let oracle = exact::trace_reduction_grounded(&g, &tree_edges, eid).unwrap();
             assert!(
@@ -61,7 +61,7 @@ fn tree_phase_beta5_is_close_to_exact_on_mesh() {
     let (tree, tree_edges, off) = tree_setup(&g);
     let pairs: Vec<(usize, usize)> = off.iter().map(|&id| (g.edge(id).u, g.edge(id).v)).collect();
     let rs = tree_resistances(&tree, &pairs);
-    let truncated = tree_phase_scores(&g, &tree, &off, &rs, 5);
+    let truncated = tree_phase_scores_threads(&g, &tree, &off, &rs, 5, 1);
     let mut captured = 0.0;
     let mut total = 0.0;
     for (k, &eid) in off.iter().enumerate() {
@@ -88,7 +88,7 @@ fn subgraph_phase_with_exact_inverse_and_full_beta_matches_oracle() {
     // δ = 0 → exact inverse of L.
     let zinv = ApproxInverse::build(factor.l(), SpaiOptions::with_threshold(0.0)).unwrap();
     let subgraph = g.edge_subgraph(&sub);
-    let scores = subgraph_phase_scores(&g, &subgraph, &factor, &zinv, &candidates, n);
+    let scores = subgraph_phase_scores_threads(&g, &subgraph, &factor, &zinv, &candidates, n, 1);
     let lsinv = exact::subgraph_inverse(&g, &sub, &shifts).unwrap();
     for (k, &eid) in candidates.iter().enumerate() {
         // Compare against the paper's Eq. 11 (no shift term): rebuild it
@@ -108,13 +108,14 @@ fn subgraph_phase_default_spai_preserves_top_ranking() {
     sub.extend(off.iter().take(4).copied());
     let candidates: Vec<usize> = off.iter().skip(4).copied().collect();
     // A physically-meaningful grounding scale: Algorithm 1's max-relative
-    // pruning needs the inverse factor to be localized (see DESIGN.md §3).
+    // pruning needs the inverse factor to be localized, and a vanishing
+    // shift spreads every column of L⁻¹ over the near-nullspace.
     let shifts = vec![5e-3; n];
     let ls = subgraph_laplacian(&g, &sub, &shifts);
     let factor = CholeskyFactor::factorize(&ls, Ordering::MinDegree).unwrap();
     let zinv = ApproxInverse::build(factor.l(), SpaiOptions::with_threshold(0.1)).unwrap();
     let subgraph = g.edge_subgraph(&sub);
-    let approx = subgraph_phase_scores(&g, &subgraph, &factor, &zinv, &candidates, 5);
+    let approx = subgraph_phase_scores_threads(&g, &subgraph, &factor, &zinv, &candidates, 5, 1);
     let lsinv = exact::subgraph_inverse(&g, &sub, &shifts).unwrap();
     let exact_scores: Vec<f64> = candidates
         .iter()

@@ -24,7 +24,8 @@ use tracered_solver::precond::CholPreconditioner;
 use tracered_solver::{robust_solve, RobustSolveConfig, TerminationReason};
 use tracered_sparse::order::Ordering;
 use tracered_sparse::{
-    factorize_regularized, scan_non_finite, BoostSchedule, CholeskyFactor, CscMatrix, SparseError,
+    factorize_regularized_kernel, scan_non_finite, BoostSchedule, CholeskyFactor, CscMatrix,
+    KernelVariant, SparseError,
 };
 
 /// A well-conditioned SPD test matrix: shifted 2-D grid Laplacian.
@@ -49,7 +50,13 @@ fn non_finite_matrix_yields_typed_error_not_panic() {
     }
     // ...and every resilient entry point refuses the matrix up front.
     assert!(matches!(
-        factorize_regularized(&bad, Ordering::MinDegree, &BoostSchedule::default()),
+        factorize_regularized_kernel(
+            &bad,
+            Ordering::MinDegree,
+            KernelVariant::Scalar,
+            1,
+            &BoostSchedule::default()
+        ),
         Err(SparseError::NonFiniteValue { .. })
     ));
     let b = vec![1.0; bad.ncols()];
@@ -69,8 +76,14 @@ fn poisoned_pivot_recovers_through_the_boost_ladder() {
         Err(SparseError::NotPositiveDefinite { .. })
     ));
     // ...the regularized one recovers and reports the shift it needed.
-    let rf = factorize_regularized(&bad, Ordering::MinDegree, &BoostSchedule::default())
-        .expect("ladder must rescue a finite indefinite matrix");
+    let rf = factorize_regularized_kernel(
+        &bad,
+        Ordering::MinDegree,
+        KernelVariant::Scalar,
+        1,
+        &BoostSchedule::default(),
+    )
+    .expect("ladder must rescue a finite indefinite matrix");
     assert!(rf.applied_shift > 0.0, "recovery must report its shift");
     assert!(rf.attempts > 1);
     // The factor solves the boosted system accurately.

@@ -12,14 +12,14 @@
 //!
 //! ```
 //! use tracered_graph::gen::{grid2d, WeightProfile};
-//! use tracered_partition::{bisect_direct, relative_error};
+//! use tracered_partition::{bisect_direct_threads, relative_error};
 //!
 //! # fn main() -> Result<(), tracered_sparse::SparseError> {
 //! // A rectangular grid: λ₂ is simple (a square grid's is degenerate),
 //! // so every random start converges to the same partition.
 //! let g = grid2d(12, 5, WeightProfile::Unit, 1);
-//! let a = bisect_direct(&g, 8, 1)?;
-//! let b = bisect_direct(&g, 8, 2)?;
+//! let a = bisect_direct_threads(&g, 8, 1, 1)?;
+//! let b = bisect_direct_threads(&g, 8, 2, 1)?;
 //! // Different random starts, same partition (up to side swap).
 //! assert!(relative_error(&a.side, &b.side) < 0.1);
 //! # Ok(())
@@ -36,7 +36,7 @@ use tracered_solver::eigen::fiedler_vector;
 use tracered_solver::pcg::{pcg, PcgOptions};
 use tracered_solver::precond::CholPreconditioner;
 use tracered_solver::DirectSolver;
-use tracered_sparse::{CscMatrix, SparseError};
+use tracered_sparse::{CscMatrix, KernelVariant, SparseError};
 
 /// A two-way partition of a graph's nodes.
 #[derive(Debug, Clone)]
@@ -84,18 +84,10 @@ fn split(g: &Graph, fiedler: Vec<f64>, inner_iterations: usize) -> Bisection {
 }
 
 /// Spectral bisection with a direct solver for the inverse-power steps
-/// (the paper's "Direct" column in Table 3).
-///
-/// # Errors
-///
-/// Returns [`SparseError::NotPositiveDefinite`] for degenerate inputs.
-pub fn bisect_direct(g: &Graph, steps: usize, seed: u64) -> Result<Bisection, SparseError> {
-    bisect_direct_threads(g, steps, seed, 1)
-}
-
-/// [`bisect_direct`] with the Laplacian factorization running on up to
-/// `factor_threads` pool workers. The parallel factor is bit-identical
-/// to the serial one, so the bisection is unchanged at every count.
+/// (the paper's "Direct" column in Table 3), the Laplacian factorization
+/// running on up to `factor_threads` pool workers. The parallel factor is
+/// bit-identical to the serial one, so the bisection is unchanged at
+/// every count.
 ///
 /// # Errors
 ///
@@ -107,7 +99,7 @@ pub fn bisect_direct_threads(
     factor_threads: usize,
 ) -> Result<Bisection, SparseError> {
     let (l, _) = shifted_laplacian(g);
-    let solver = DirectSolver::new_threads(&l, factor_threads)?;
+    let solver = DirectSolver::new_kernel(&l, KernelVariant::Scalar, factor_threads)?;
     let res = fiedler_vector(g.num_nodes(), |b| (solver.solve(b), 0), steps, seed);
     Ok(split(g, res.vector, 0))
 }
@@ -119,7 +111,7 @@ pub fn bisect_direct_threads(
 /// # Errors
 ///
 /// Currently infallible once the preconditioner exists, but returns
-/// `Result` for interface symmetry with [`bisect_direct`].
+/// `Result` for interface symmetry with [`bisect_direct_threads`].
 pub fn bisect_pcg(
     g: &Graph,
     precond: &CholPreconditioner,
@@ -141,7 +133,7 @@ pub fn bisect_pcg(
     Ok(split(g, res.vector, res.total_inner_iterations))
 }
 
-/// The uniform diagonal shift [`bisect_direct`] / [`bisect_pcg`] apply —
+/// The uniform diagonal shift [`bisect_direct_threads`] / [`bisect_pcg`] apply —
 /// build sparsifier preconditioners under the same shift so the
 /// preconditioned operator stays spectrally matched.
 pub fn partition_shift(g: &Graph) -> f64 {
@@ -313,29 +305,11 @@ impl KWayPartition {
 /// its Fiedler vector; disconnected pieces fall back to balanced
 /// component packing.
 ///
-/// # Errors
-///
-/// Returns [`SparseError::NotPositiveDefinite`] for degenerate inputs.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or the graph is empty.
-pub fn recursive_bisection(
-    g: &Graph,
-    k: usize,
-    steps: usize,
-    seed: u64,
-) -> Result<KWayPartition, SparseError> {
-    recursive_bisection_threads(g, k, steps, seed, 1)
-}
-
-/// [`recursive_bisection`] with the per-level `DirectSolver`
-/// factorizations running on up to `factor_threads` pool workers (see
-/// [`DirectSolver::new_threads`]).
-///
-/// The partitioner's own full-size factorization dominates setup time on
-/// one core, so this is where the parallel numeric Cholesky pays off
-/// first. The parallel factor is bit-identical to the serial one, so the
+/// The per-level [`DirectSolver`] factorizations run on up to
+/// `factor_threads` pool workers (see [`DirectSolver::new_kernel`]). The
+/// partitioner's own full-size factorization dominates setup time on one
+/// core, so this is where the parallel numeric Cholesky pays off first.
+/// The parallel factor is bit-identical to the serial one, so the
 /// resulting partition is **the same** at every thread count.
 ///
 /// # Errors
@@ -393,7 +367,7 @@ fn partition_rec(
         // Split at the size-proportional quantile of the Fiedler vector.
         let shift = 1e-3 * 2.0 * sub.total_weight() / sub.num_nodes().max(1) as f64;
         let l = laplacian_with_shifts(&sub, &vec![shift; sub.num_nodes()]);
-        let solver = DirectSolver::new_threads(&l, factor_threads)?;
+        let solver = DirectSolver::new_kernel(&l, KernelVariant::Scalar, factor_threads)?;
         let res = fiedler_vector(sub.num_nodes(), |b| (solver.solve(b), 0), steps, seed);
         let mut order: Vec<usize> = (0..sub.num_nodes()).collect();
         order.sort_by(|&a, &b| res.vector[a].total_cmp(&res.vector[b]));
@@ -468,7 +442,7 @@ mod tests {
         // degenerate, making the cut direction depend on the random
         // start), so every seed converges to the across-the-short-axis cut.
         let g = grid2d(10, 9, WeightProfile::Unit, 1);
-        let b = bisect_direct(&g, 8, 3).unwrap();
+        let b = bisect_direct_threads(&g, 8, 3, 1).unwrap();
         assert!((b.balance - 0.5).abs() < 0.02);
         // Optimal cut of a 10×9 grid is 9; spectral should be close.
         assert!(b.cut_weight <= 12.0, "cut weight {}", b.cut_weight);
@@ -485,7 +459,7 @@ mod tests {
         }
         edges.push((0, 8, 0.01));
         let g = Graph::from_edges(16, &edges).unwrap();
-        let b = bisect_direct(&g, 10, 1).unwrap();
+        let b = bisect_direct_threads(&g, 10, 1, 1).unwrap();
         assert!((b.cut_weight - 0.01).abs() < 1e-9, "cut {}", b.cut_weight);
         assert_eq!(b.side[0..8].iter().filter(|&&s| s).count() % 8, 0);
     }
@@ -493,7 +467,7 @@ mod tests {
     #[test]
     fn pcg_bisection_matches_direct() {
         let g = tri_mesh(12, 12, WeightProfile::Unit, 5);
-        let direct = bisect_direct(&g, 5, 7).unwrap();
+        let direct = bisect_direct_threads(&g, 5, 7, 1).unwrap();
         let s = partition_shift(&g);
         let sp = sparsify(&g, &SparsifyConfig::default().shift(ShiftPolicy::Uniform(s))).unwrap();
         let pre = CholPreconditioner::from_matrix(&sp.laplacian(&g)).unwrap();
@@ -518,7 +492,7 @@ mod tests {
         // Rectangular at every recursion level so each Fiedler problem has
         // a simple λ₂ (12×10 splits into 6×10 halves, then 6×5 quarters).
         let g = grid2d(12, 10, WeightProfile::Unit, 4);
-        let p = recursive_bisection(&g, 4, 8, 1).unwrap();
+        let p = recursive_bisection_threads(&g, 4, 8, 1, 1).unwrap();
         assert_eq!(p.parts, 4);
         assert_eq!(p.part_sizes(), vec![30; 4]);
         // Quadrant cut of a 12×10 grid costs 10 + 6 + 6 = 22; allow slack.
@@ -534,7 +508,7 @@ mod tests {
     #[test]
     fn k_equals_one_puts_everything_in_one_part() {
         let g = grid2d(4, 4, WeightProfile::Unit, 1);
-        let p = recursive_bisection(&g, 1, 5, 0).unwrap();
+        let p = recursive_bisection_threads(&g, 1, 5, 0, 1).unwrap();
         assert_eq!(p.parts, 1);
         assert_eq!(p.cut_weight, 0.0);
         assert!(p.assignment.iter().all(|&a| a == 0));
@@ -543,7 +517,7 @@ mod tests {
     #[test]
     fn odd_k_produces_proportional_sizes() {
         let g = grid2d(9, 10, WeightProfile::Unit, 2);
-        let p = recursive_bisection(&g, 3, 6, 3).unwrap();
+        let p = recursive_bisection_threads(&g, 3, 6, 3, 1).unwrap();
         assert_eq!(p.parts, 3);
         let sizes = p.part_sizes();
         assert_eq!(sizes.iter().sum::<usize>(), 90);
@@ -555,7 +529,7 @@ mod tests {
     #[test]
     fn k_exceeding_nodes_degenerates_gracefully() {
         let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
-        let p = recursive_bisection(&g, 8, 3, 0).unwrap();
+        let p = recursive_bisection_threads(&g, 8, 3, 0, 1).unwrap();
         assert!(p.parts <= 8);
         assert_eq!(p.assignment.len(), 3);
     }
@@ -563,7 +537,7 @@ mod tests {
     #[test]
     fn balance_is_exact_for_even_node_counts() {
         let g = grid2d(6, 6, WeightProfile::Unit, 2);
-        let b = bisect_direct(&g, 6, 1).unwrap();
+        let b = bisect_direct_threads(&g, 6, 1, 1).unwrap();
         assert_eq!(b.side.iter().filter(|&&s| s).count(), 18);
     }
 
@@ -577,14 +551,14 @@ mod tests {
         assert!((cut.weight - 2.5).abs() < 1e-12);
         assert!((cut.fraction - 2.5 / 6.5).abs() < 1e-12);
         // The construction-time cut_weight field agrees with the metric.
-        let rb = recursive_bisection(&g, 2, 5, 0).unwrap();
+        let rb = recursive_bisection_threads(&g, 2, 5, 0, 1).unwrap();
         assert!((rb.edge_cut(&g).weight - rb.cut_weight).abs() < 1e-12);
     }
 
     #[test]
     fn edge_cut_of_single_part_is_empty() {
         let g = grid2d(4, 4, WeightProfile::Unit, 1);
-        let p = recursive_bisection(&g, 1, 5, 0).unwrap();
+        let p = recursive_bisection_threads(&g, 1, 5, 0, 1).unwrap();
         let cut = p.edge_cut(&g);
         assert_eq!(cut.count, 0);
         assert_eq!(cut.weight, 0.0);
@@ -605,14 +579,15 @@ mod tests {
         assert!((balanced.balance_ratio() - 1.0).abs() < 1e-12);
         let skewed = KWayPartition { assignment: vec![0, 0, 0, 1], parts: 2, cut_weight: 0.0 };
         assert!((skewed.balance_ratio() - 1.5).abs() < 1e-12);
-        let quad = recursive_bisection(&grid2d(12, 10, WeightProfile::Unit, 4), 4, 8, 1).unwrap();
+        let quad = recursive_bisection_threads(&grid2d(12, 10, WeightProfile::Unit, 4), 4, 8, 1, 1)
+            .unwrap();
         assert!((quad.balance_ratio() - 1.0).abs() < 1e-12, "quadrants are exactly balanced");
     }
 
     #[test]
     fn extract_subgraphs_partitions_nodes_and_edges() {
         let g = grid2d(10, 8, WeightProfile::LogUniform { lo: 0.5, hi: 2.0 }, 6);
-        let p = recursive_bisection(&g, 4, 8, 2).unwrap();
+        let p = recursive_bisection_threads(&g, 4, 8, 2, 1).unwrap();
         let subs = p.extract_subgraphs(&g);
         assert_eq!(subs.pieces.len(), p.parts);
         // Node maps tile the node set exactly.
@@ -656,7 +631,7 @@ mod tests {
     #[test]
     fn part_nodes_matches_assignment() {
         let g = grid2d(9, 7, WeightProfile::Unit, 3);
-        let p = recursive_bisection(&g, 3, 7, 5).unwrap();
+        let p = recursive_bisection_threads(&g, 3, 7, 5, 1).unwrap();
         let nodes = p.part_nodes();
         assert_eq!(nodes.len(), p.parts);
         let sizes: Vec<usize> = nodes.iter().map(Vec::len).collect();

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use tracered_graph::gen::{grid2d, WeightProfile};
-use tracered_partition::recursive_bisection;
+use tracered_partition::recursive_bisection_threads;
 
 /// Grid shapes whose recursive halves stay rectangular (simple λ₂ at
 /// every level for k ∈ {2, 4}), paired with a part count.
@@ -51,7 +51,7 @@ proptest! {
         let (rows, cols, k) = case;
         let g = grid2d(rows, cols, WeightProfile::Unit, 1);
         let n = g.num_nodes();
-        let p = recursive_bisection(&g, k, 8, seed).unwrap();
+        let p = recursive_bisection_threads(&g, k, 8, seed, 1).unwrap();
         prop_assert_eq!(p.parts, k);
         let sizes = p.part_sizes();
         prop_assert_eq!(sizes.iter().sum::<usize>(), n);
@@ -74,15 +74,15 @@ proptest! {
         let (rows, cols, k) = case;
         let g = grid2d(rows, cols, WeightProfile::Unit, 1);
         // Same seed twice: bit-identical labels (full determinism).
-        let p1 = recursive_bisection(&g, k, 16, seed_a).unwrap();
-        let p2 = recursive_bisection(&g, k, 16, seed_a).unwrap();
+        let p1 = recursive_bisection_threads(&g, k, 16, seed_a, 1).unwrap();
+        let p2 = recursive_bisection_threads(&g, k, 16, seed_a, 1).unwrap();
         prop_assert_eq!(&p1.assignment, &p2.assignment);
         // Different seeds: the same set partition up to relabeling —
         // rectangular grids have a simple λ₂ at every recursion level,
         // so every random start converges to the same cut. 16 inverse
         // power steps are needed: at 8 steps a slow λ₂/λ₃ ratio can
         // leave enough λ₃ mixture to flip nodes near the cut.
-        let p3 = recursive_bisection(&g, k, 16, seed_b).unwrap();
+        let p3 = recursive_bisection_threads(&g, k, 16, seed_b, 1).unwrap();
         let ca = canonical(&p1.assignment, p1.parts);
         let cb = canonical(&p3.assignment, p3.parts);
         let diff = ca.iter().zip(cb.iter()).filter(|(a, b)| a != b).count();

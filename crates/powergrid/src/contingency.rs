@@ -560,9 +560,9 @@ pub fn simulate_contingency_batch(
         ..Default::default()
     };
     let t0 = Instant::now();
-    let mut factor = CholeskyFactor::factorize_kernel(
+    let mut factor = CholeskyFactor::factorize_with_perm_kernel(
         &g,
-        Ordering::MinDegree,
+        Ordering::MinDegree.compute(&g)?,
         cfg.kernel,
         cfg.factor_threads.max(1),
     )?;
@@ -674,9 +674,9 @@ pub fn simulate_contingency_batch(
                     // Defensive only — the journal guarantees the
                     // inverse of the op just applied. Rebuild rather
                     // than continue on a perturbed factor.
-                    factor = CholeskyFactor::factorize_kernel(
+                    factor = CholeskyFactor::factorize_with_perm_kernel(
                         &g,
-                        Ordering::MinDegree,
+                        Ordering::MinDegree.compute(&g)?,
                         cfg.kernel,
                         cfg.factor_threads.max(1),
                     )?;
@@ -772,9 +772,9 @@ pub fn simulate_contingency_refactor(
     };
     let t0 = Instant::now();
     // The reference still needs one base factor for dw == 0 no-ops.
-    let base = CholeskyFactor::factorize_kernel(
+    let base = CholeskyFactor::factorize_with_perm_kernel(
         &g,
-        Ordering::MinDegree,
+        Ordering::MinDegree.compute(&g)?,
         cfg.kernel,
         cfg.factor_threads.max(1),
     )?;
@@ -814,9 +814,9 @@ pub fn simulate_contingency_refactor(
                 // Refactor-per-outage: the reference pays a fresh
                 // factorization even for an unchanged matrix.
                 report.refactorizations += 1;
-                let f = CholeskyFactor::factorize_kernel(
+                let f = CholeskyFactor::factorize_with_perm_kernel(
                     &g,
-                    Ordering::MinDegree,
+                    Ordering::MinDegree.compute(&g)?,
                     cfg.kernel,
                     cfg.factor_threads.max(1),
                 )?;

@@ -55,7 +55,6 @@ pub use contingency::{
 };
 pub use netlist::{CurrentSource, PowerGrid};
 pub use transient::{
-    simulate_direct_batch_outcomes, simulate_pcg_batch_outcomes, ScenarioFailure,
-    ScenarioFailureKind, ScenarioOutcome,
+    simulate_pcg_batch_outcomes, ScenarioFailure, ScenarioFailureKind, ScenarioOutcome,
 };
 pub use waveform::PulseWaveform;

@@ -63,7 +63,7 @@ pub struct TransientConfig {
     /// Worker threads for the direct engine's matrix factorizations
     /// (`G + C/h` and the DC operating point): independent
     /// elimination-tree subtrees factor concurrently
-    /// ([`tracered_sparse::CholeskyFactor::factorize_threads`]). The
+    /// ([`tracered_sparse::CholeskyFactor::factorize_with_perm_kernel`]). The
     /// factor is bit-identical to serial at every count, so waveforms
     /// are unchanged — only `factor_time` shrinks. This is the knob that
     /// attacks the varied-step direct engine's dominant cost (one
@@ -213,9 +213,11 @@ pub fn dc_operating_point(pg: &PowerGrid) -> Result<Vec<f64>, SparseError> {
     Ok(solver.solve(&pg.dc_rhs()))
 }
 
-/// [`dc_operating_points_batch`] with the factorization of `G` split
-/// across pool workers — the engines route their initial-condition
-/// solves through this with [`TransientConfig::factor_threads`].
+/// Solves the DC operating points of a whole scenario ensemble with one
+/// factorization of `G` (split across up to `threads` pool workers) and
+/// one blocked multi-column substitution — the engines route their
+/// initial-condition solves through this with
+/// [`TransientConfig::factor_threads`].
 fn dc_points_batch_threads(
     pg: &PowerGrid,
     scenarios: &[SourceScenario],
@@ -230,23 +232,6 @@ fn dc_points_batch_threads(
         col.copy_from_slice(&pg.dc_rhs_scaled(sc.scales()));
     }
     Ok(solver.factor().solve_multi(&b))
-}
-
-/// Solves the DC operating points of a whole scenario ensemble with one
-/// factorization of `G` and one blocked multi-column substitution.
-///
-/// # Errors
-///
-/// Returns [`SparseError::NotPositiveDefinite`] if the grid has no pads.
-///
-/// # Panics
-///
-/// Panics if a scenario's scale length disagrees with the source count.
-pub fn dc_operating_points_batch(
-    pg: &PowerGrid,
-    scenarios: &[SourceScenario],
-) -> Result<MultiVec, SparseError> {
-    dc_points_batch_threads(pg, scenarios, KernelVariant::Scalar, 1)
 }
 
 /// Builds the step system matrix for a scheme:
@@ -518,8 +503,7 @@ pub fn simulate_direct_varied(
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::NotPositiveDefinite`] if the DC system cannot be
-/// factorized for the initial condition.
+/// Same conditions as [`simulate_pcg_batch`].
 ///
 /// # Panics
 ///
@@ -580,13 +564,19 @@ pub fn simulate_pcg(
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::NotPositiveDefinite`] if the DC system cannot be
-/// factorized for the initial conditions.
+/// - [`SparseError::NotPositiveDefinite`] if the DC system cannot be
+///   factorized for the initial conditions;
+/// - [`SparseError::DimensionMismatch`] if a scenario's scale length
+///   disagrees with the source count;
+/// - [`SparseError::InvalidValue`] if a scale is non-finite, a scenario's
+///   voltage state goes non-finite or its PCG solve breaks down.
+///
+/// A failing scenario is reported only after the rest of the ensemble
+/// finished; [`simulate_pcg_batch_outcomes`] returns the survivors too.
 ///
 /// # Panics
 ///
-/// Panics if a probe node is out of bounds, `scenarios` is empty, or a
-/// scenario's scale length disagrees with the source count.
+/// Panics if a probe node is out of bounds or `scenarios` is empty.
 pub fn simulate_pcg_batch(
     pg: &PowerGrid,
     cfg: &TransientConfig,
@@ -594,103 +584,18 @@ pub fn simulate_pcg_batch(
     probe_nodes: &[usize],
     scenarios: &[SourceScenario],
 ) -> Result<Vec<TransientResult>, SparseError> {
-    let n = pg.num_nodes();
-    let k = scenarios.len();
-    assert!(probe_nodes.iter().all(|&p| p < n), "probe nodes must be in bounds");
-    assert!(k > 0, "at least one scenario is required");
-    let mut span = tracered_obs::span!("transient.run", { n: n, scenarios: k });
-    let waveforms: Vec<_> = pg.sources().iter().map(|s| s.waveform).collect();
-    let grid = merged_time_grid(&waveforms, cfg.t_end, cfg.max_step);
-
-    let mut v = dc_points_batch_threads(pg, scenarios, cfg.kernel, cfg.factor_threads.max(1))?;
-    let mut rhs = MultiVec::zeros(n, k);
-    let mut times = vec![grid[0]];
-    let mut probes: Vec<Vec<Vec<f64>>> = scenarios
-        .iter()
-        .enumerate()
-        .map(|(s, _)| probe_nodes.iter().map(|&p| vec![v.col(s)[p]]).collect())
-        .collect();
-    let opts = PcgOptions {
-        rel_tolerance: cfg.pcg_tol,
-        max_iterations: 10_000,
-        threads: cfg.threads.max(1),
-    };
-    let g_matrix = pg.conductance_shared();
-    // For the trapezoidal rule the step matrix is G/2 + C/h; backward
-    // Euler shares the memoized G outright instead of deep-cloning it.
-    let g_for_system = match cfg.scheme {
-        IntegrationScheme::BackwardEuler => Arc::clone(&g_matrix),
-        IntegrationScheme::Trapezoidal => {
-            let mut half = (*g_matrix).clone();
-            for val in half.values_mut() {
-                *val *= 0.5;
-            }
-            Arc::new(half)
-        }
-    };
-    let cap = pg.capacitance();
-    let mut gv = vec![0.0; n];
-    let t_solve = Instant::now();
-    let mut total_iters = vec![0usize; k];
-    let mut steps = 0usize;
-    for w in grid.windows(2) {
-        let _step = tracered_obs::span!("transient.step", { step: steps, width: k });
-        let (t0, t1) = (w[0], w[1]);
-        let h = t1 - t0;
-        // A = G + C/h (or G/2 + C/h), a diagonal update of the cached G.
-        let shifts: Vec<f64> = cap.iter().map(|&c| c / h).collect();
-        let a = g_for_system
-            .add_diagonal(&shifts)
-            .expect("conductance matrix is square by construction");
-        for (s, sc) in scenarios.iter().enumerate() {
-            step_rhs(
-                pg,
-                cfg.scheme,
-                t0,
-                t1,
-                h,
-                v.col(s),
-                sc.scales(),
-                &g_matrix,
-                &mut gv,
-                rhs.col_mut(s),
-            );
-        }
-        let sol = block_pcg_with_guess(&a, &rhs, Some(&v), preconditioner, &opts);
-        for (total, its) in total_iters.iter_mut().zip(sol.iterations.iter()) {
-            *total += its;
-        }
-        v = sol.x;
-        steps += 1;
-        times.push(t1);
-        for (s, scenario_probes) in probes.iter_mut().enumerate() {
-            for (trace, &p) in scenario_probes.iter_mut().zip(probe_nodes.iter()) {
-                trace.push(v.col(s)[p]);
-            }
-        }
-    }
-    let solve_time = t_solve.elapsed() / k as u32;
-    if let Some(g) = span.as_mut() {
-        g.arg("steps", steps as f64);
-        g.arg("pcg_iterations", total_iters.iter().sum::<usize>() as f64);
-    }
-    Ok(probes
+    simulate_pcg_batch_outcomes(pg, cfg, preconditioner, probe_nodes, scenarios)?
         .into_iter()
-        .zip(total_iters)
-        .map(|(scenario_probes, iters)| TransientResult {
-            times: times.clone(),
-            probes: scenario_probes,
-            stats: TransientStats {
-                steps,
-                factor_time: Duration::ZERO,
-                solve_time,
-                total_pcg_iterations: iters,
-                avg_pcg_iterations: if steps > 0 { iters as f64 / steps as f64 } else { 0.0 },
-                memory_bytes: preconditioner.memory_bytes(),
-                factorizations: 0,
-            },
+        .map(|outcome| match outcome {
+            ScenarioOutcome::Completed(result) => Ok(result),
+            ScenarioOutcome::Failed(fail) => Err(match fail.kind {
+                ScenarioFailureKind::ScaleLength { expected, found } => {
+                    SparseError::DimensionMismatch { expected, found }
+                }
+                _ => SparseError::InvalidValue { what: fail.to_string() },
+            }),
         })
-        .collect())
+        .collect()
 }
 
 /// Why one scenario of a batch transient run was abandoned while the rest
@@ -814,8 +719,8 @@ fn keep_columns(src: &MultiVec, keep: &[usize]) -> MultiVec {
     out
 }
 
-/// Fault-tolerant variant of [`simulate_pcg_batch`]: instead of aborting
-/// the whole ensemble on the first bad scenario, returns one
+/// The stepping loop behind [`simulate_pcg_batch`] and [`simulate_pcg`]:
+/// instead of failing the whole ensemble on a bad scenario, returns one
 /// [`ScenarioOutcome`] per input, in order.
 ///
 /// A scenario is abandoned (and the batch narrowed) when
@@ -825,8 +730,7 @@ fn keep_columns(src: &MultiVec, keep: &[usize]) -> MultiVec {
 /// - its DC operating point or advanced voltage state goes non-finite, or
 /// - the blocked PCG classifies its column as a breakdown
 ///   ([`TerminationReason::is_breakdown`]; plain `MaxIterations` is *not*
-///   a breakdown, matching [`simulate_pcg_batch`]'s tolerance of
-///   unconverged steps).
+///   a breakdown: an unconverged step keeps integrating).
 ///
 /// The block-PCG column recurrences are independent (see
 /// [`tracered_solver::block`]), so dropping a failed column leaves every
@@ -910,6 +814,8 @@ pub fn simulate_pcg_batch_outcomes(
         threads: cfg.threads.max(1),
     };
     let g_matrix = pg.conductance_shared();
+    // For the trapezoidal rule the step matrix is G/2 + C/h; backward
+    // Euler shares the memoized G outright instead of deep-cloning it.
     let g_for_system = match cfg.scheme {
         IntegrationScheme::BackwardEuler => Arc::clone(&g_matrix),
         IntegrationScheme::Trapezoidal => {
@@ -922,6 +828,7 @@ pub fn simulate_pcg_batch_outcomes(
     };
     let cap = pg.capacitance();
     let mut gv = vec![0.0; n];
+    let mut rhs = MultiVec::zeros(n, active.len());
     let t_solve = Instant::now();
     let mut steps = 0usize;
     for w in grid.windows(2) {
@@ -931,11 +838,11 @@ pub fn simulate_pcg_batch_outcomes(
         let _step = tracered_obs::span!("transient.step", { step: steps, width: active.len() });
         let (t0, t1) = (w[0], w[1]);
         let h = t1 - t0;
+        // A = G + C/h (or G/2 + C/h), a diagonal update of the cached G.
         let shifts: Vec<f64> = cap.iter().map(|&c| c / h).collect();
         let a = g_for_system
             .add_diagonal(&shifts)
             .expect("conductance matrix is square by construction");
-        let mut rhs = MultiVec::zeros(n, active.len());
         for (i, &s) in active.iter().enumerate() {
             step_rhs(
                 pg,
@@ -981,6 +888,7 @@ pub fn simulate_pcg_batch_outcomes(
             total_iters = keep.iter().map(|&i| total_iters[i]).collect();
             probes = keep.iter().map(|&i| std::mem::take(&mut probes[i])).collect();
             active = keep.iter().map(|&i| active[i]).collect();
+            rhs = MultiVec::zeros(n, active.len());
         }
         for (i, scenario_probes) in probes.iter_mut().enumerate() {
             for (trace, &p) in scenario_probes.iter_mut().zip(probe_nodes.iter()) {
@@ -994,6 +902,7 @@ pub fn simulate_pcg_batch_outcomes(
         if survivors > 0 { t_solve.elapsed() / survivors as u32 } else { Duration::ZERO };
     if let Some(g) = span.as_mut() {
         g.arg("steps", steps as f64);
+        g.arg("pcg_iterations", total_iters.iter().sum::<usize>() as f64);
         g.arg("survivors", survivors as f64);
     }
     let mut results: Vec<Option<TransientResult>> = vec![None; scenarios.len()];
@@ -1013,76 +922,6 @@ pub fn simulate_pcg_batch_outcomes(
         });
     }
 
-    Ok(scenarios
-        .iter()
-        .enumerate()
-        .map(|(s, _)| match failures[s].take() {
-            Some(fail) => ScenarioOutcome::Failed(fail),
-            None => ScenarioOutcome::Completed(
-                results[s].take().expect("non-failed scenario has a result"),
-            ),
-        })
-        .collect())
-}
-
-/// Fault-tolerant variant of [`simulate_direct_batch`]: malformed
-/// scenarios become [`ScenarioOutcome::Failed`] entries instead of
-/// panics, and the remaining ensemble runs through the shared direct
-/// solver unchanged.
-///
-/// The direct engine advances every scenario with the same factorized
-/// operator, so per-scenario numerical divergence can only enter through
-/// the right-hand sides; a scenario whose waveforms go non-finite is
-/// reported as [`ScenarioFailureKind::NonFiniteState`] with the step at
-/// which its probe traces first left the finite range.
-///
-/// # Errors
-///
-/// Returns [`SparseError::NotPositiveDefinite`] when `G + C/h` cannot be
-/// factorized — a shared failure that dooms every scenario alike.
-///
-/// # Panics
-///
-/// Panics if a probe node is out of bounds or `scenarios` is empty.
-pub fn simulate_direct_batch_outcomes(
-    pg: &PowerGrid,
-    cfg: &TransientConfig,
-    probe_nodes: &[usize],
-    scenarios: &[SourceScenario],
-) -> Result<Vec<ScenarioOutcome>, SparseError> {
-    assert!(!scenarios.is_empty(), "at least one scenario is required");
-    let num_sources = pg.sources().len();
-    let mut failures: Vec<Option<ScenarioFailure>> = vec![None; scenarios.len()];
-    let mut active: Vec<usize> = Vec::new();
-    for (s, sc) in scenarios.iter().enumerate() {
-        match validate_scenario(sc, num_sources) {
-            Some(kind) => failures[s] = Some(ScenarioFailure { scenario: s, step: 0, kind }),
-            None => active.push(s),
-        }
-    }
-    let mut results: Vec<Option<TransientResult>> = vec![None; scenarios.len()];
-    if !active.is_empty() {
-        let active_scenarios: Vec<SourceScenario> =
-            active.iter().map(|&s| scenarios[s].clone()).collect();
-        let batch = simulate_direct_batch(pg, cfg, probe_nodes, &active_scenarios)?;
-        for (&s, result) in active.iter().zip(batch) {
-            let bad_step = result
-                .probes
-                .iter()
-                .filter_map(|trace| trace.iter().position(|x| !x.is_finite()))
-                .min();
-            match bad_step {
-                Some(step) => {
-                    failures[s] = Some(ScenarioFailure {
-                        scenario: s,
-                        step,
-                        kind: ScenarioFailureKind::NonFiniteState,
-                    });
-                }
-                None => results[s] = Some(result),
-            }
-        }
-    }
     Ok(scenarios
         .iter()
         .enumerate()
@@ -1372,7 +1211,7 @@ mod tests {
     fn batch_dc_points_match_single_dc_solves() {
         let pg = small_grid();
         let scenarios = scenario_ensemble(&pg, 4);
-        let v = dc_operating_points_batch(&pg, &scenarios).unwrap();
+        let v = dc_points_batch_threads(&pg, &scenarios, KernelVariant::Scalar, 1).unwrap();
         let g = pg.conductance_matrix();
         for (s, sc) in scenarios.iter().enumerate() {
             let b = pg.dc_rhs_scaled(sc.source_scale.as_deref());
@@ -1467,40 +1306,10 @@ mod tests {
             outcomes[1].failure().unwrap().kind,
             ScenarioFailureKind::ScaleLength { found: 2, .. }
         ));
-    }
-
-    #[test]
-    fn direct_outcomes_isolate_malformed_scenarios() {
-        let pg = small_grid();
-        let (near, far) = probe_pair(&pg);
-        let probes = [near, far];
-        let cfg = quick_cfg();
-        let m = pg.sources().len();
-        let mut bad = vec![1.0; m];
-        bad[1] = f64::INFINITY;
-        let scenarios = vec![
-            SourceScenario::nominal(),
-            SourceScenario::per_source(bad),
-            SourceScenario::uniform(0.5, m),
-        ];
-        let outcomes = simulate_direct_batch_outcomes(&pg, &cfg, &probes, &scenarios).unwrap();
-        assert!(outcomes[0].is_completed());
         assert!(matches!(
-            outcomes[1].failure().unwrap().kind,
-            ScenarioFailureKind::InvalidScale { index: 1, .. }
+            simulate_pcg_batch(&pg, &cfg, &pre, &[0], &scenarios),
+            Err(SparseError::DimensionMismatch { found: 2, .. })
         ));
-        assert!(outcomes[2].is_completed());
-        // Survivors match a clean batch exactly (shared factor, per-column
-        // substitutions).
-        let clean = simulate_direct_batch(
-            &pg,
-            &cfg,
-            &probes,
-            &[scenarios[0].clone(), scenarios[2].clone()],
-        )
-        .unwrap();
-        assert_eq!(max_trace_gap(outcomes[0].result().unwrap(), &clean[0]), 0.0);
-        assert_eq!(max_trace_gap(outcomes[2].result().unwrap(), &clean[1]), 0.0);
     }
 
     #[test]

@@ -46,12 +46,21 @@ use crate::robust::{robust_core, RobustSolution, RobustSolveConfig};
 /// use tracered_graph::laplacian::laplacian_with_shifts;
 /// use tracered_solver::context::{robust_solve_shared, SolverContext};
 /// use tracered_solver::RobustSolveConfig;
-/// use tracered_sparse::BoostSchedule;
+/// use tracered_sparse::order::Ordering;
+/// use tracered_sparse::{BoostSchedule, KernelVariant};
 ///
 /// # fn main() -> Result<(), tracered_sparse::SparseError> {
 /// let g = grid2d(8, 8, WeightProfile::Unit, 3);
 /// let a = Arc::new(laplacian_with_shifts(&g, &vec![0.05; 64]));
-/// let ctx = SolverContext::build(Arc::clone(&a), a, &BoostSchedule::default(), 1)?;
+/// let boost = BoostSchedule::default();
+/// let ctx = SolverContext::build_with(
+///     Arc::clone(&a),
+///     a,
+///     &boost,
+///     1,
+///     Ordering::MinDegree,
+///     KernelVariant::Scalar,
+/// )?;
 /// // The factorization above is paid once; every request reuses it.
 /// let cfg = RobustSolveConfig::default();
 /// for seed in 0..3u64 {
@@ -87,7 +96,9 @@ impl SolverContext {
     /// Builds a context by factorizing `precond_matrix` through the
     /// boosted ladder of [`tracered_sparse::regularize`] — the same
     /// factorization `robust_solve`'s stage 1 would perform per call,
-    /// paid once here.
+    /// paid once here. The fill-reducing `ordering` and numeric `kernel`
+    /// are used for the preconditioner factorization here *and*
+    /// remembered for the lazy [`SolverContext::direct_factor`].
     ///
     /// # Errors
     ///
@@ -99,31 +110,6 @@ impl SolverContext {
     ///   the preconditioner matrix (unlike `robust_solve`, a context
     ///   build is strict: a service must not publish a context whose
     ///   preconditioner does not exist).
-    pub fn build(
-        system: Arc<CscMatrix>,
-        precond_matrix: Arc<CscMatrix>,
-        boost: &BoostSchedule,
-        factor_threads: usize,
-    ) -> Result<Self, SparseError> {
-        Self::build_with(
-            system,
-            precond_matrix,
-            boost,
-            factor_threads,
-            Ordering::MinDegree,
-            KernelVariant::Scalar,
-        )
-    }
-
-    /// [`SolverContext::build`] with explicit factorization knobs: the
-    /// fill-reducing `ordering` and numeric `kernel` are used for the
-    /// preconditioner factorization here *and* remembered for the lazy
-    /// [`SolverContext::direct_factor`] — earlier revisions hardcoded
-    /// min-degree in both places, ignoring the caller's configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SolverContext::build`].
     pub fn build_with(
         system: Arc<CscMatrix>,
         precond_matrix: Arc<CscMatrix>,
@@ -147,53 +133,17 @@ impl SolverContext {
         scan_non_finite(&precond_matrix)?;
         let ft = factor_threads.max(1);
         let rf = factorize_regularized_kernel(&precond_matrix, ordering, kernel, ft, boost)?;
-        Ok(SolverContext::from_parts(
+        Ok(SolverContext {
             system,
             precond_matrix,
-            Arc::new(CholPreconditioner::from_factor(rf.factor)),
-            rf.applied_shift,
-            *boost,
-            ft,
-        )
-        .with_factor_opts(ordering, kernel))
-    }
-
-    /// Assembles a context from an already-factorized preconditioner —
-    /// for callers that built one through another path (e.g. a
-    /// sparsifier pipeline) and want to share it without refactorizing.
-    /// `applied_shift` is the diagonal boost baked into the factor
-    /// (`0.0` when none was needed); `boost` and `factor_threads` govern
-    /// the escalation-stage factorizations.
-    pub fn from_parts(
-        system: Arc<CscMatrix>,
-        precond_matrix: Arc<CscMatrix>,
-        preconditioner: Arc<CholPreconditioner>,
-        applied_shift: f64,
-        boost: BoostSchedule,
-        factor_threads: usize,
-    ) -> Self {
-        SolverContext {
-            system,
-            precond_matrix,
-            preconditioner,
-            applied_shift,
-            boost,
-            factor_threads: factor_threads.max(1),
-            ordering: Ordering::MinDegree,
-            kernel: KernelVariant::Scalar,
+            preconditioner: Arc::new(CholPreconditioner::from_factor(rf.factor)),
+            applied_shift: rf.applied_shift,
+            boost: *boost,
+            factor_threads: ft,
+            ordering,
+            kernel,
             direct: Arc::new(OnceLock::new()),
-        }
-    }
-
-    /// Sets the ordering and kernel used by factorizations this context
-    /// performs later (the lazy direct factor). Call before the first
-    /// [`SolverContext::direct_factor`]; the memoized factor is not
-    /// rebuilt.
-    #[must_use]
-    pub fn with_factor_opts(mut self, ordering: Ordering, kernel: KernelVariant) -> Self {
-        self.ordering = ordering;
-        self.kernel = kernel;
-        self
+        })
     }
 
     /// Problem dimension `n`.
@@ -350,7 +300,15 @@ mod tests {
     fn shared_solve_matches_by_value_solve_bitwise() {
         let (a, m, b) = system();
         let cfg = RobustSolveConfig::default();
-        let ctx = SolverContext::build(Arc::clone(&a), Arc::clone(&m), &cfg.boost, 1).unwrap();
+        let ctx = SolverContext::build_with(
+            Arc::clone(&a),
+            Arc::clone(&m),
+            &cfg.boost,
+            1,
+            Ordering::MinDegree,
+            KernelVariant::Scalar,
+        )
+        .unwrap();
         let shared = robust_solve_shared(&ctx, &b, &cfg).unwrap();
         let owned = robust_solve(&a, &b, &m, &cfg).unwrap();
         assert_eq!(shared.strategy, owned.strategy);
@@ -365,7 +323,15 @@ mod tests {
     fn context_reuse_shares_one_factorization() {
         let (a, m, b) = system();
         let cfg = RobustSolveConfig::default();
-        let ctx = SolverContext::build(a, m, &cfg.boost, 1).unwrap();
+        let ctx = SolverContext::build_with(
+            a,
+            m,
+            &cfg.boost,
+            1,
+            Ordering::MinDegree,
+            KernelVariant::Scalar,
+        )
+        .unwrap();
         let pre_before = Arc::as_ptr(&ctx.preconditioner_shared());
         for _ in 0..3 {
             assert!(robust_solve_shared(&ctx, &b, &cfg).unwrap().converged());
@@ -377,7 +343,15 @@ mod tests {
     #[test]
     fn direct_factor_is_memoized_and_solves() {
         let (a, m, b) = system();
-        let ctx = SolverContext::build(Arc::clone(&a), m, &BoostSchedule::default(), 1).unwrap();
+        let ctx = SolverContext::build_with(
+            Arc::clone(&a),
+            m,
+            &BoostSchedule::default(),
+            1,
+            Ordering::MinDegree,
+            KernelVariant::Scalar,
+        )
+        .unwrap();
         let f1 = ctx.direct_factor().unwrap();
         let f2 = ctx.direct_factor().unwrap();
         assert_eq!(Arc::as_ptr(&f1), Arc::as_ptr(&f2), "second call must hit the memo");
@@ -391,13 +365,27 @@ mod tests {
         let g = grid2d(3, 3, WeightProfile::Unit, 1);
         let small = Arc::new(laplacian_with_shifts(&g, &[0.1; 9]));
         assert!(matches!(
-            SolverContext::build(Arc::clone(&a), small, &BoostSchedule::default(), 1),
+            SolverContext::build_with(
+                Arc::clone(&a),
+                small,
+                &BoostSchedule::default(),
+                1,
+                Ordering::MinDegree,
+                KernelVariant::Scalar
+            ),
             Err(SparseError::DimensionMismatch { .. })
         ));
         let mut bad = (*a).clone();
         bad.values_mut()[0] = f64::NAN;
         assert!(matches!(
-            SolverContext::build(Arc::new(bad), a, &BoostSchedule::default(), 1),
+            SolverContext::build_with(
+                Arc::new(bad),
+                a,
+                &BoostSchedule::default(),
+                1,
+                Ordering::MinDegree,
+                KernelVariant::Scalar
+            ),
             Err(SparseError::NonFiniteValue { .. })
         ));
     }
@@ -406,7 +394,15 @@ mod tests {
     fn shared_solve_validates_rhs() {
         let (a, m, b) = system();
         let cfg = RobustSolveConfig::default();
-        let ctx = SolverContext::build(a, m, &cfg.boost, 1).unwrap();
+        let ctx = SolverContext::build_with(
+            a,
+            m,
+            &cfg.boost,
+            1,
+            Ordering::MinDegree,
+            KernelVariant::Scalar,
+        )
+        .unwrap();
         assert!(matches!(
             robust_solve_shared(&ctx, &b[..50], &cfg),
             Err(SparseError::DimensionMismatch { .. })

@@ -46,25 +46,17 @@ impl DirectSolver {
     /// Returns [`SparseError::NotPositiveDefinite`] for singular or
     /// indefinite input.
     pub fn new(a: &CscMatrix) -> Result<Self, SparseError> {
-        Self::new_threads(a, 1)
+        Self::new_kernel(a, KernelVariant::Scalar, 1)
     }
 
-    /// [`DirectSolver::new`] with the numeric factorization running on up
-    /// to `threads` workers of the global pool: independent
-    /// elimination-tree subtrees factor concurrently
-    /// ([`CholeskyFactor::factorize_threads`]), bit-identical to the
-    /// serial factor at every thread count — only `factor_time` changes.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DirectSolver::new`].
-    pub fn new_threads(a: &CscMatrix, threads: usize) -> Result<Self, SparseError> {
-        Self::new_kernel(a, KernelVariant::Scalar, threads)
-    }
-
-    /// [`DirectSolver::new_threads`] with an explicit numeric kernel
+    /// [`DirectSolver::new`] with an explicit numeric kernel
     /// ([`KernelVariant::Supernodal`] runs blocked panel updates instead
-    /// of the scalar up-looking sweep; same ordering auto-selection).
+    /// of the scalar up-looking sweep; same ordering auto-selection) and
+    /// the numeric factorization running on up to `threads` workers of
+    /// the global pool: independent elimination-tree subtrees factor
+    /// concurrently ([`CholeskyFactor::factorize_with_perm_kernel`]),
+    /// bit-identical to the serial factor at every thread count — only
+    /// `factor_time` changes.
     ///
     /// # Errors
     ///
@@ -80,46 +72,6 @@ impl DirectSolver {
             &[Ordering::MinDegree, Ordering::NestedDissection],
         )?;
         let factor = CholeskyFactor::factorize_with_perm_kernel(a, perm, kernel, threads)?;
-        Ok(DirectSolver { factor, factor_time: t.elapsed() })
-    }
-
-    /// Factorizes with an explicit ordering choice.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DirectSolver::new`].
-    pub fn with_ordering(a: &CscMatrix, ordering: Ordering) -> Result<Self, SparseError> {
-        Self::with_ordering_threads(a, ordering, 1)
-    }
-
-    /// [`DirectSolver::with_ordering`] with the parallel numeric phase of
-    /// [`DirectSolver::new_threads`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DirectSolver::new`].
-    pub fn with_ordering_threads(
-        a: &CscMatrix,
-        ordering: Ordering,
-        threads: usize,
-    ) -> Result<Self, SparseError> {
-        Self::with_ordering_kernel(a, ordering, KernelVariant::Scalar, threads)
-    }
-
-    /// [`DirectSolver::with_ordering_threads`] with an explicit numeric
-    /// kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DirectSolver::new`].
-    pub fn with_ordering_kernel(
-        a: &CscMatrix,
-        ordering: Ordering,
-        kernel: KernelVariant,
-        threads: usize,
-    ) -> Result<Self, SparseError> {
-        let t = Instant::now();
-        let factor = CholeskyFactor::factorize_kernel(a, ordering, kernel, threads)?;
         Ok(DirectSolver { factor, factor_time: t.elapsed() })
     }
 
@@ -195,9 +147,9 @@ mod tests {
         let g = tri_mesh(7, 7, WeightProfile::Unit, 1);
         let a = laplacian_with_shifts(&g, &vec![0.5; 49]);
         let b: Vec<f64> = (0..49).map(|i| (i as f64) * 0.01).collect();
-        let x1 = DirectSolver::with_ordering(&a, Ordering::Natural).unwrap().solve(&b);
-        let x2 = DirectSolver::with_ordering(&a, Ordering::Rcm).unwrap().solve(&b);
-        let x3 = DirectSolver::with_ordering(&a, Ordering::MinDegree).unwrap().solve(&b);
+        let x1 = CholeskyFactor::factorize(&a, Ordering::Natural).unwrap().solve(&b);
+        let x2 = CholeskyFactor::factorize(&a, Ordering::Rcm).unwrap().solve(&b);
+        let x3 = CholeskyFactor::factorize(&a, Ordering::MinDegree).unwrap().solve(&b);
         for i in 0..49 {
             assert!((x1[i] - x2[i]).abs() < 1e-9);
             assert!((x1[i] - x3[i]).abs() < 1e-9);

@@ -110,23 +110,7 @@ impl CholPreconditioner {
     /// Returns [`SparseError::NotPositiveDefinite`] when `m` is singular or
     /// indefinite.
     pub fn from_matrix(m: &CscMatrix) -> Result<Self, SparseError> {
-        Self::from_matrix_threads(m, 1)
-    }
-
-    /// [`CholPreconditioner::from_matrix`] with the numeric factorization
-    /// split across up to `threads` pool workers
-    /// ([`CholeskyFactor::factorize_threads`]). The factor — and hence
-    /// every PCG iterate preconditioned by it — is bit-identical to the
-    /// serial build at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::NotPositiveDefinite`] when `m` is singular or
-    /// indefinite.
-    pub fn from_matrix_threads(m: &CscMatrix, threads: usize) -> Result<Self, SparseError> {
-        Ok(CholPreconditioner {
-            factor: CholeskyFactor::factorize_threads(m, Ordering::MinDegree, threads)?,
-        })
+        Ok(CholPreconditioner { factor: CholeskyFactor::factorize(m, Ordering::MinDegree)? })
     }
 
     /// Wraps an existing factorization.

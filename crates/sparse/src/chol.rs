@@ -138,23 +138,32 @@ impl CholeskyFactor {
     /// Returns [`SparseError::NotSquare`] for rectangular inputs and
     /// [`SparseError::NotPositiveDefinite`] when a pivot fails.
     pub fn factorize(a: &CscMatrix, ordering: Ordering) -> Result<Self, SparseError> {
-        Self::factorize_threads(a, ordering, 1)
+        let perm = ordering.compute(a)?;
+        Self::factorize_with_perm_kernel(a, perm, KernelVariant::Scalar, 1)
     }
 
-    /// [`CholeskyFactor::factorize`] with the numeric phase running on up
-    /// to `threads` worker threads of the global `tracered_par` pool:
+    /// Factorizes with a caller-provided permutation, an explicit numeric
+    /// kernel and the numeric phase running on up to `threads` worker
+    /// threads of the global `tracered_par` pool — the entry point every
+    /// factorization in the workspace funnels into. Pass
+    /// `ordering.compute(a)?` to factor under a named [`Ordering`].
+    ///
+    /// [`KernelVariant::Scalar`] is the up-looking row kernel:
     /// independent elimination-tree subtrees factor concurrently and the
     /// dense top-of-tree columns run on the serial kernel (see
-    /// [`crate::etree::EtreeSchedule`]).
+    /// [`crate::etree::EtreeSchedule`]). [`KernelVariant::Supernodal`]
+    /// runs blocked panel updates (see [`crate::supernode`]).
     ///
-    /// The factor is **bit-identical** to the serial one at every thread
-    /// count: each column's summation order is fixed by the etree (a
-    /// column's updates come from its ancestors, which form a chain), so
-    /// the schedule changes only wall-clock time. `threads <= 1` is the
-    /// exact historical serial path.
+    /// Each kernel's factor is **bit-identical** to its serial factor at
+    /// every thread count: each column's summation order is fixed by the
+    /// etree (a column's updates come from its ancestors, which form a
+    /// chain), so the schedule changes only wall-clock time. `threads <= 1`
+    /// is the exact historical serial path. The two kernels agree only up
+    /// to rounding (different summation orders), so cross-kernel
+    /// comparisons need a tolerance.
     ///
     /// ```
-    /// use tracered_sparse::{CholeskyFactor, CooMatrix, order::Ordering};
+    /// use tracered_sparse::{CholeskyFactor, CooMatrix, KernelVariant, order::Ordering};
     ///
     /// # fn main() -> Result<(), tracered_sparse::SparseError> {
     /// let mut coo = CooMatrix::new(3, 3);
@@ -163,7 +172,9 @@ impl CholeskyFactor {
     /// coo.push_symmetric(1, 2, -1.0)?;
     /// let a = coo.to_csc();
     /// let serial = CholeskyFactor::factorize(&a, Ordering::Natural)?;
-    /// let parallel = CholeskyFactor::factorize_threads(&a, Ordering::Natural, 4)?;
+    /// let perm = Ordering::Natural.compute(&a)?;
+    /// let parallel =
+    ///     CholeskyFactor::factorize_with_perm_kernel(&a, perm, KernelVariant::Scalar, 4)?;
     /// assert_eq!(serial.l().values(), parallel.l().values());
     /// # Ok(())
     /// # }
@@ -171,68 +182,8 @@ impl CholeskyFactor {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CholeskyFactor::factorize`].
-    pub fn factorize_threads(
-        a: &CscMatrix,
-        ordering: Ordering,
-        threads: usize,
-    ) -> Result<Self, SparseError> {
-        let perm = ordering.compute(a)?;
-        Self::factorize_with_perm_threads(a, perm, threads)
-    }
-
-    /// Factorizes with a caller-provided permutation.
-    ///
-    /// # Errors
-    ///
     /// Same conditions as [`CholeskyFactor::factorize`], plus
     /// [`SparseError::DimensionMismatch`] if the permutation size differs.
-    pub fn factorize_with_perm(a: &CscMatrix, perm: Permutation) -> Result<Self, SparseError> {
-        Self::factorize_with_perm_threads(a, perm, 1)
-    }
-
-    /// [`CholeskyFactor::factorize_with_perm`] with the parallel numeric
-    /// phase of [`CholeskyFactor::factorize_threads`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CholeskyFactor::factorize_with_perm`].
-    pub fn factorize_with_perm_threads(
-        a: &CscMatrix,
-        perm: Permutation,
-        threads: usize,
-    ) -> Result<Self, SparseError> {
-        Self::factorize_with_perm_kernel(a, perm, KernelVariant::Scalar, threads)
-    }
-
-    /// [`CholeskyFactor::factorize_threads`] with an explicit numeric
-    /// kernel choice: the scalar up-looking row kernel or the supernodal
-    /// blocked-panel kernel (see [`crate::supernode`]).
-    ///
-    /// Each variant is bit-identical to itself at every thread count; the
-    /// two variants agree only up to rounding (different summation
-    /// orders), so cross-variant comparisons need a tolerance.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CholeskyFactor::factorize`].
-    pub fn factorize_kernel(
-        a: &CscMatrix,
-        ordering: Ordering,
-        kernel: KernelVariant,
-        threads: usize,
-    ) -> Result<Self, SparseError> {
-        let perm = ordering.compute(a)?;
-        Self::factorize_with_perm_kernel(a, perm, kernel, threads)
-    }
-
-    /// [`CholeskyFactor::factorize_with_perm`] with an explicit numeric
-    /// kernel choice — the entry point every other `factorize*` method
-    /// funnels into.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CholeskyFactor::factorize_with_perm`].
     pub fn factorize_with_perm_kernel(
         a: &CscMatrix,
         perm: Permutation,
@@ -1046,7 +997,13 @@ mod tests {
         for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
             let serial = CholeskyFactor::factorize(&a, ord).unwrap();
             for threads in [2usize, 4] {
-                let par = CholeskyFactor::factorize_threads(&a, ord, threads).unwrap();
+                let par = CholeskyFactor::factorize_with_perm_kernel(
+                    &a,
+                    ord.compute(&a).unwrap(),
+                    KernelVariant::Scalar,
+                    threads,
+                )
+                .unwrap();
                 let n = serial.n();
                 assert!((0..n).all(|k| par.perm().new_to_old(k) == serial.perm().new_to_old(k)));
                 assert_factors_bit_identical(par.l(), serial.l());
@@ -1058,7 +1015,13 @@ mod tests {
     fn parallel_factor_small_matrix_falls_back_to_serial() {
         let a = grid_laplacian_shifted(4, 0.5);
         let serial = CholeskyFactor::factorize(&a, Ordering::MinDegree).unwrap();
-        let par = CholeskyFactor::factorize_threads(&a, Ordering::MinDegree, 8).unwrap();
+        let par = CholeskyFactor::factorize_with_perm_kernel(
+            &a,
+            Ordering::MinDegree.compute(&a).unwrap(),
+            KernelVariant::Scalar,
+            8,
+        )
+        .unwrap();
         assert_factors_bit_identical(par.l(), serial.l());
     }
 
@@ -1084,7 +1047,12 @@ mod tests {
                 other => panic!("expected a pivot failure, got {other:?}"),
             };
             for threads in [2usize, 4] {
-                match CholeskyFactor::factorize_threads(&m, Ordering::Natural, threads) {
+                match CholeskyFactor::factorize_with_perm_kernel(
+                    &m,
+                    Ordering::Natural.compute(&m).unwrap(),
+                    KernelVariant::Scalar,
+                    threads,
+                ) {
                     Err(SparseError::NotPositiveDefinite { column }) => {
                         assert_eq!(column, serial_col, "threads {threads}, poisoned {bad}");
                     }

@@ -3,14 +3,14 @@
 //! This crate implements, from scratch, everything the trace-reduction
 //! sparsifier of Liu & Yu (DAC 2022) needs from a sparse direct solver:
 //!
-//! - triplet ([`CooMatrix`]), compressed-column ([`CscMatrix`]) and
-//!   compressed-row ([`CsrMatrix`]) storage with conversions;
+//! - triplet ([`CooMatrix`]) and compressed-column ([`CscMatrix`])
+//!   storage with conversions;
 //! - fill-reducing orderings (reverse Cuthill–McKee and minimum degree) in
 //!   [`order`];
 //! - an elimination-tree based symbolic analysis ([`etree`]) and an
 //!   up-looking numeric sparse Cholesky factorization ([`chol`]) in the
 //!   style of CSparse/CHOLMOD, with a level-set-scheduled parallel
-//!   numeric path ([`CholeskyFactor::factorize_threads`]) that factors
+//!   numeric path ([`CholeskyFactor::factorize_with_perm_kernel`]) that factors
 //!   independent elimination-tree subtrees concurrently and is
 //!   bit-identical to the serial kernel at every thread count;
 //! - sparse triangular solves and a convenience SDD solver;
@@ -57,7 +57,6 @@
 pub mod chol;
 pub mod coo;
 pub mod csc;
-pub mod csr;
 pub mod dense;
 pub mod error;
 pub mod etree;
@@ -74,14 +73,12 @@ pub mod update;
 pub use chol::CholeskyFactor;
 pub use coo::CooMatrix;
 pub use csc::{par_axpy, par_dot, par_xpby, CscMatrix};
-pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use multivec::MultiVec;
 pub use perm::Permutation;
 pub use regularize::{
-    factorize_regularized, factorize_regularized_kernel, factorize_regularized_threads,
-    scan_non_finite, BoostSchedule, RegularizedFactor,
+    factorize_regularized_kernel, scan_non_finite, BoostSchedule, RegularizedFactor,
 };
 pub use spai::{ApproxInverse, SpaiOptions};
 pub use supernode::{KernelVariant, SupernodePartition};

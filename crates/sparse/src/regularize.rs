@@ -5,7 +5,7 @@
 //! Production sparse solvers (CHOLMOD's `beta` shift, PETSc's
 //! `PCFactorSetShiftType`) recover from marginally indefinite or
 //! near-singular matrices by adding a small multiple of the identity to
-//! the diagonal and refactorizing. [`factorize_regularized`] brings that
+//! the diagonal and refactorizing. [`factorize_regularized_kernel`] brings that
 //! discipline here: on a pivot failure it climbs a geometric shift ladder
 //! ([`BoostSchedule`]) — `σ₀·s, σ₀·g·s, σ₀·g²·s, …` where `s` is the mean
 //! absolute diagonal — until a factorization succeeds, and reports the
@@ -16,7 +16,7 @@
 //! The boost is applied to the **input matrix** (one
 //! [`CscMatrix::add_diagonal`] per rung), not smuggled into the numeric
 //! kernel, so the bit-identity contract of
-//! [`CholeskyFactor::factorize_threads`] is untouched: serial and
+//! [`CholeskyFactor::factorize_with_perm_kernel`] is untouched: serial and
 //! parallel factorizations of the same boosted matrix agree bit for bit
 //! at every thread count.
 //!
@@ -33,7 +33,7 @@ use crate::error::SparseError;
 use crate::order::Ordering;
 use crate::supernode::KernelVariant;
 
-/// Geometric diagonal-boost ladder for [`factorize_regularized`].
+/// Geometric diagonal-boost ladder for [`factorize_regularized_kernel`].
 ///
 /// Rung `k` (0-based) shifts the diagonal by
 /// `initial_relative · growthᵏ · scale`, where `scale` is the mean
@@ -151,7 +151,17 @@ fn diagonal_scale(a: &CscMatrix) -> f64 {
     }
 }
 
-/// [`factorize_regularized_threads`] on the serial numeric kernel.
+/// Factorizes `a`, retrying with a geometric diagonal-boost ladder on
+/// pivot failure. Every rung factors with the same numeric `kernel` on up
+/// to `threads` pool workers
+/// ([`CholeskyFactor::factorize_with_perm_kernel`]), so the escalation
+/// chain keeps the caller's configured variant end to end.
+///
+/// The fill-reducing permutation is computed once (the boost never
+/// changes the sparsity pattern) and reused across attempts. Because each
+/// attempt factors an explicitly boosted copy of the input, the result is
+/// bit-identical across thread counts, exactly like the underlying
+/// kernels.
 ///
 /// # Example
 ///
@@ -160,8 +170,8 @@ fn diagonal_scale(a: &CscMatrix) -> f64 {
 ///
 /// ```
 /// use tracered_sparse::order::Ordering;
-/// use tracered_sparse::regularize::{factorize_regularized, BoostSchedule};
-/// use tracered_sparse::{CholeskyFactor, CooMatrix};
+/// use tracered_sparse::regularize::{factorize_regularized_kernel, BoostSchedule};
+/// use tracered_sparse::{CholeskyFactor, CooMatrix, KernelVariant};
 ///
 /// # fn main() -> Result<(), tracered_sparse::SparseError> {
 /// // Path-graph Laplacian: positive *semi*-definite, singular.
@@ -174,7 +184,13 @@ fn diagonal_scale(a: &CscMatrix) -> f64 {
 /// let l = coo.to_csc();
 ///
 /// assert!(CholeskyFactor::factorize(&l, Ordering::Natural).is_err());
-/// let rf = factorize_regularized(&l, Ordering::Natural, &BoostSchedule::default())?;
+/// let rf = factorize_regularized_kernel(
+///     &l,
+///     Ordering::Natural,
+///     KernelVariant::Scalar,
+///     1,
+///     &BoostSchedule::default(),
+/// )?;
 /// assert!(rf.applied_shift > 0.0, "recovery must report its shift");
 /// assert!(rf.attempts >= 2);
 /// // The boosted factor solves the regularized system accurately.
@@ -186,50 +202,12 @@ fn diagonal_scale(a: &CscMatrix) -> f64 {
 ///
 /// # Errors
 ///
-/// Same conditions as [`factorize_regularized_threads`].
-pub fn factorize_regularized(
-    a: &CscMatrix,
-    ordering: Ordering,
-    schedule: &BoostSchedule,
-) -> Result<RegularizedFactor, SparseError> {
-    factorize_regularized_threads(a, ordering, 1, schedule)
-}
-
-/// Factorizes `a`, retrying with a geometric diagonal-boost ladder on
-/// pivot failure; the numeric phase runs on up to `threads` pool workers
-/// ([`CholeskyFactor::factorize_threads`]).
-///
-/// The fill-reducing permutation is computed once (the boost never
-/// changes the sparsity pattern) and reused across attempts. Because each
-/// attempt factors an explicitly boosted copy of the input, the result is
-/// bit-identical across thread counts, exactly like the underlying
-/// kernels.
-///
-/// # Errors
-///
 /// - [`SparseError::NonFiniteValue`] if the input scan finds NaN/Inf;
 /// - [`SparseError::InvalidValue`] for an invalid [`BoostSchedule`];
 /// - [`SparseError::NotPositiveDefinite`] when even the top rung of the
 ///   ladder fails (the last pivot failure is reported);
 /// - any structural error of the underlying factorization
 ///   ([`SparseError::NotSquare`] etc.).
-pub fn factorize_regularized_threads(
-    a: &CscMatrix,
-    ordering: Ordering,
-    threads: usize,
-    schedule: &BoostSchedule,
-) -> Result<RegularizedFactor, SparseError> {
-    factorize_regularized_kernel(a, ordering, KernelVariant::Scalar, threads, schedule)
-}
-
-/// [`factorize_regularized_threads`] with an explicit numeric kernel
-/// choice ([`CholeskyFactor::factorize_kernel`]): every rung of the boost
-/// ladder factors with the same `kernel`, so the escalation chain keeps
-/// the caller's configured variant end to end.
-///
-/// # Errors
-///
-/// Same conditions as [`factorize_regularized_threads`].
 pub fn factorize_regularized_kernel(
     a: &CscMatrix,
     ordering: Ordering,
@@ -300,7 +278,14 @@ mod tests {
     #[test]
     fn spd_input_takes_one_attempt_and_no_shift() {
         let a = spd();
-        let rf = factorize_regularized(&a, Ordering::MinDegree, &BoostSchedule::default()).unwrap();
+        let rf = factorize_regularized_kernel(
+            &a,
+            Ordering::MinDegree,
+            KernelVariant::Scalar,
+            1,
+            &BoostSchedule::default(),
+        )
+        .unwrap();
         assert!(rf.is_unboosted());
         assert_eq!(rf.attempts, 1);
         let x = rf.factor.solve(&[1.0, 2.0, 3.0, 4.0]);
@@ -314,7 +299,14 @@ mod tests {
             CholeskyFactor::factorize(&l, Ordering::Natural),
             Err(SparseError::NotPositiveDefinite { .. })
         ));
-        let rf = factorize_regularized(&l, Ordering::Natural, &BoostSchedule::default()).unwrap();
+        let rf = factorize_regularized_kernel(
+            &l,
+            Ordering::Natural,
+            KernelVariant::Scalar,
+            1,
+            &BoostSchedule::default(),
+        )
+        .unwrap();
         assert!(rf.applied_shift > 0.0);
         assert!(!rf.is_unboosted());
         assert!(rf.attempts >= 2);
@@ -327,13 +319,19 @@ mod tests {
     #[test]
     fn boosted_factor_is_bit_identical_across_thread_counts() {
         let l = singular_laplacian();
-        let serial =
-            factorize_regularized_threads(&l, Ordering::MinDegree, 1, &BoostSchedule::default())
-                .unwrap();
+        let serial = factorize_regularized_kernel(
+            &l,
+            Ordering::MinDegree,
+            KernelVariant::Scalar,
+            1,
+            &BoostSchedule::default(),
+        )
+        .unwrap();
         for threads in [2usize, 4] {
-            let par = factorize_regularized_threads(
+            let par = factorize_regularized_kernel(
                 &l,
                 Ordering::MinDegree,
+                KernelVariant::Scalar,
                 threads,
                 &BoostSchedule::default(),
             )
@@ -349,8 +347,14 @@ mod tests {
         let mut a = spd();
         a.values_mut()[2] = f64::NAN;
         assert!(matches!(scan_non_finite(&a), Err(SparseError::NonFiniteValue { .. })));
-        let err = factorize_regularized(&a, Ordering::Natural, &BoostSchedule::default())
-            .expect_err("NaN input must not factor");
+        let err = factorize_regularized_kernel(
+            &a,
+            Ordering::Natural,
+            KernelVariant::Scalar,
+            1,
+            &BoostSchedule::default(),
+        )
+        .expect_err("NaN input must not factor");
         assert!(matches!(err, SparseError::NonFiniteValue { .. }));
         let mut b = spd();
         *b.values_mut().last_mut().unwrap() = f64::INFINITY;
@@ -369,12 +373,15 @@ mod tests {
         }
         let a = coo.to_csc();
         let short = BoostSchedule { initial_relative: 1e-10, growth: 10.0, max_boosts: 3 };
-        let err = factorize_regularized(&a, Ordering::Natural, &short)
-            .expect_err("short ladder cannot rescue -I");
+        let err =
+            factorize_regularized_kernel(&a, Ordering::Natural, KernelVariant::Scalar, 1, &short)
+                .expect_err("short ladder cannot rescue -I");
         assert!(matches!(err, SparseError::NotPositiveDefinite { .. }));
         // A ladder that climbs past |diag| does rescue it.
         let tall = BoostSchedule { initial_relative: 1e-2, growth: 100.0, max_boosts: 4 };
-        let rf = factorize_regularized(&a, Ordering::Natural, &tall).unwrap();
+        let rf =
+            factorize_regularized_kernel(&a, Ordering::Natural, KernelVariant::Scalar, 1, &tall)
+                .unwrap();
         assert!(rf.applied_shift > 1.0);
     }
 
@@ -388,10 +395,9 @@ mod tests {
             BoostSchedule { growth: f64::INFINITY, ..Default::default() },
             BoostSchedule { max_boosts: 0, ..Default::default() },
         ] {
-            assert!(matches!(
-                factorize_regularized(&a, Ordering::Natural, &bad),
-                Err(SparseError::InvalidValue { .. })
-            ));
+            let res =
+                factorize_regularized_kernel(&a, Ordering::Natural, KernelVariant::Scalar, 1, &bad);
+            assert!(matches!(res, Err(SparseError::InvalidValue { .. })));
         }
     }
 

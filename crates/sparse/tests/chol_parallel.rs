@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use tracered_sparse::chol::{etree_consistent_with_factor, SymbolicCholesky};
 use tracered_sparse::etree::{self, NO_PARENT};
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{CholeskyFactor, CooMatrix, CscMatrix};
+use tracered_sparse::{CholeskyFactor, CooMatrix, CscMatrix, KernelVariant};
 
 /// Deterministic weight stream so proptest only has to explore shapes,
 /// shifts and seeds (a tiny LCG, not a statistical RNG).
@@ -95,7 +95,13 @@ proptest! {
         for ord in ORDERINGS {
             let serial = CholeskyFactor::factorize(&a, ord).unwrap();
             for threads in [1usize, 2, 4] {
-                let par = CholeskyFactor::factorize_threads(&a, ord, threads).unwrap();
+                let par = CholeskyFactor::factorize_with_perm_kernel(
+                    &a,
+                    ord.compute(&a).unwrap(),
+                    KernelVariant::Scalar,
+                    threads,
+                )
+                .unwrap();
                 assert_csc_bit_identical(par.l(), serial.l(), &format!("{ord:?} t={threads}"));
             }
         }
@@ -183,8 +189,13 @@ proptest! {
             let c = a.symmetric_perm_upper(&perm).unwrap();
             let symbolic = SymbolicCholesky::analyze(&c).unwrap();
             for threads in [1usize, 4] {
-                let f =
-                    CholeskyFactor::factorize_with_perm_threads(&a, perm.clone(), threads).unwrap();
+                let f = CholeskyFactor::factorize_with_perm_kernel(
+                    &a,
+                    perm.clone(),
+                    KernelVariant::Scalar,
+                    threads,
+                )
+                .unwrap();
                 prop_assert!(
                     etree_consistent_with_factor(f.l(), symbolic.parent()),
                     "{ord:?} at {threads} threads: factor structure disagrees with the etree"
@@ -202,7 +213,13 @@ proptest! {
         let serial = CholeskyFactor::factorize(&a, Ordering::MinDegree).unwrap();
         let xs = serial.solve(&b);
         for threads in [2usize, 4] {
-            let par = CholeskyFactor::factorize_threads(&a, Ordering::MinDegree, threads).unwrap();
+            let par = CholeskyFactor::factorize_with_perm_kernel(
+                &a,
+                Ordering::MinDegree.compute(&a).unwrap(),
+                KernelVariant::Scalar,
+                threads,
+            )
+            .unwrap();
             let xp = par.solve(&b);
             for (s, p) in xs.iter().zip(xp.iter()) {
                 prop_assert_eq!(s.to_bits(), p.to_bits());

@@ -99,7 +99,13 @@ proptest! {
             let c = a.symmetric_perm_upper(&perm).unwrap();
             let symbolic = SymbolicCholesky::analyze(&c).unwrap();
             let part = SupernodePartition::from_symbolic(&c, &symbolic);
-            let f = CholeskyFactor::factorize_with_perm(&a, perm.clone()).unwrap();
+            let f = CholeskyFactor::factorize_with_perm_kernel(
+                &a,
+                perm.clone(),
+                KernelVariant::Scalar,
+                1,
+            )
+            .unwrap();
             let l = f.l();
             let n = symbolic.n();
             let parent = symbolic.parent();
@@ -151,9 +157,17 @@ proptest! {
     #[test]
     fn supernodal_matches_scalar_within_tolerance(a in arb_spd()) {
         for ord in ORDERINGS {
-            let scalar = CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Scalar, 1).unwrap();
+            let perm = ord.compute(&a).unwrap();
+            let scalar = CholeskyFactor::factorize_with_perm_kernel(
+                &a,
+                perm.clone(),
+                KernelVariant::Scalar,
+                1,
+            )
+            .unwrap();
             let blocked =
-                CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Supernodal, 1).unwrap();
+                CholeskyFactor::factorize_with_perm_kernel(&a, perm, KernelVariant::Supernodal, 1)
+                    .unwrap();
             prop_assert_eq!(scalar.l().colptr(), blocked.l().colptr(), "{:?}: colptr", ord);
             prop_assert_eq!(scalar.l().rowidx(), blocked.l().rowidx(), "{:?}: rowidx", ord);
             for (i, (x, y)) in
@@ -172,12 +186,22 @@ proptest! {
     #[test]
     fn supernodal_bit_identical_across_threads(a in arb_spd()) {
         for ord in [Ordering::MinDegree, Ordering::NestedDissection, Ordering::Natural] {
-            let serial =
-                CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Supernodal, 1).unwrap();
+            let perm = ord.compute(&a).unwrap();
+            let serial = CholeskyFactor::factorize_with_perm_kernel(
+                &a,
+                perm.clone(),
+                KernelVariant::Supernodal,
+                1,
+            )
+            .unwrap();
             for threads in [2usize, 4] {
-                let par =
-                    CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Supernodal, threads)
-                        .unwrap();
+                let par = CholeskyFactor::factorize_with_perm_kernel(
+                    &a,
+                    perm.clone(),
+                    KernelVariant::Supernodal,
+                    threads,
+                )
+                .unwrap();
                 assert_csc_bit_identical(
                     par.l(),
                     serial.l(),
@@ -192,9 +216,9 @@ proptest! {
     fn supernodal_solve_residual(a in arb_spd()) {
         let n = a.ncols();
         let b: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64) - 8.0).collect();
-        let f = CholeskyFactor::factorize_kernel(
+        let f = CholeskyFactor::factorize_with_perm_kernel(
             &a,
-            Ordering::MinDegree,
+            Ordering::MinDegree.compute(&a).unwrap(),
             KernelVariant::Supernodal,
             4,
         )
@@ -238,12 +262,21 @@ fn supernodal_first_failure_matches_scalar() {
         }
         let a = coo.to_csc();
         for ord in [Ordering::Natural, Ordering::MinDegree] {
-            let scalar_err =
-                CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Scalar, 1).unwrap_err();
+            let scalar_err = CholeskyFactor::factorize_with_perm_kernel(
+                &a,
+                ord.compute(&a).unwrap(),
+                KernelVariant::Scalar,
+                1,
+            )
+            .unwrap_err();
             for threads in [1usize, 2, 4] {
-                let err =
-                    CholeskyFactor::factorize_kernel(&a, ord, KernelVariant::Supernodal, threads)
-                        .unwrap_err();
+                let err = CholeskyFactor::factorize_with_perm_kernel(
+                    &a,
+                    ord.compute(&a).unwrap(),
+                    KernelVariant::Supernodal,
+                    threads,
+                )
+                .unwrap_err();
                 assert_eq!(
                     format!("{scalar_err:?}"),
                     format!("{err:?}"),
@@ -260,12 +293,20 @@ fn supernodal_first_failure_matches_scalar() {
 fn supernodal_small_matrices() {
     for n in [1usize, 2, 5, 16] {
         let a = tridiag_spd(n.max(2), 0.7, 11);
-        let scalar =
-            CholeskyFactor::factorize_kernel(&a, Ordering::Natural, KernelVariant::Scalar, 1)
-                .unwrap();
-        let blocked =
-            CholeskyFactor::factorize_kernel(&a, Ordering::Natural, KernelVariant::Supernodal, 4)
-                .unwrap();
+        let scalar = CholeskyFactor::factorize_with_perm_kernel(
+            &a,
+            Ordering::Natural.compute(&a).unwrap(),
+            KernelVariant::Scalar,
+            1,
+        )
+        .unwrap();
+        let blocked = CholeskyFactor::factorize_with_perm_kernel(
+            &a,
+            Ordering::Natural.compute(&a).unwrap(),
+            KernelVariant::Supernodal,
+            4,
+        )
+        .unwrap();
         assert_eq!(scalar.l().colptr(), blocked.l().colptr());
         assert_eq!(scalar.l().rowidx(), blocked.l().rowidx());
         for (x, y) in scalar.l().values().iter().zip(blocked.l().values()) {

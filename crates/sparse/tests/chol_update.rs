@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{CholeskyFactor, CooMatrix, CscMatrix, SparseError};
+use tracered_sparse::{CholeskyFactor, CooMatrix, CscMatrix, KernelVariant, SparseError};
 
 /// Deterministic weight stream (a tiny LCG, not a statistical RNG).
 fn weight(seed: u64, i: usize) -> f64 {
@@ -140,7 +140,13 @@ proptest! {
         let vec = edge_vector(n, u, v, w);
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.7).cos()).collect();
         for threads in [1usize, 4] {
-            let mut f = CholeskyFactor::factorize_threads(&a, ord, threads).unwrap();
+            let mut f = CholeskyFactor::factorize_with_perm_kernel(
+                &a,
+                ord.compute(&a).unwrap(),
+                KernelVariant::Scalar,
+                threads,
+            )
+            .unwrap();
             let baseline = solve_bits(&f, &b);
             f.update(&vec).unwrap();
             let restored = f.downdate(&vec).unwrap();
@@ -173,7 +179,13 @@ proptest! {
         let sign = sign_sel == 1;
         let vec = edge_vector(n, u, v, w);
         let sigma = if sign { 1.0 } else { -1.0 };
-        let mut f = CholeskyFactor::factorize_threads(&a, ord, 1).unwrap();
+        let mut f = CholeskyFactor::factorize_with_perm_kernel(
+            &a,
+            ord.compute(&a).unwrap(),
+            KernelVariant::Scalar,
+            1,
+        )
+        .unwrap();
         let applied = if sign { f.update(&vec) } else { f.downdate(&vec) };
         if applied.is_err() {
             // A downdate may legitimately lose definiteness for an
@@ -206,7 +218,13 @@ proptest! {
         let mut vec = vec![0.0; n];
         vec[node] = (9.0 * a.get(node, node)).sqrt();
         for threads in [1usize, 4] {
-            let mut f = CholeskyFactor::factorize_threads(&a, ord, threads).unwrap();
+            let mut f = CholeskyFactor::factorize_with_perm_kernel(
+                &a,
+                ord.compute(&a).unwrap(),
+                KernelVariant::Scalar,
+                threads,
+            )
+            .unwrap();
             let lbits: Vec<u64> = f.l().values().iter().map(|x| x.to_bits()).collect();
             let err = f.downdate(&vec).unwrap_err();
             prop_assert!(matches!(err, SparseError::NotPositiveDefinite { .. }));
@@ -228,8 +246,20 @@ proptest! {
     ) {
         let n = a.ncols();
         let vec = edge_vector(n, u, v, w);
-        let mut f1 = CholeskyFactor::factorize_threads(&a, ord, 1).unwrap();
-        let mut f4 = CholeskyFactor::factorize_threads(&a, ord, 4).unwrap();
+        let mut f1 = CholeskyFactor::factorize_with_perm_kernel(
+            &a,
+            ord.compute(&a).unwrap(),
+            KernelVariant::Scalar,
+            1,
+        )
+        .unwrap();
+        let mut f4 = CholeskyFactor::factorize_with_perm_kernel(
+            &a,
+            ord.compute(&a).unwrap(),
+            KernelVariant::Scalar,
+            4,
+        )
+        .unwrap();
         f1.update(&vec).unwrap();
         f4.update(&vec).unwrap();
         prop_assert_eq!(f1.l().colptr(), f4.l().colptr());
@@ -242,11 +272,11 @@ proptest! {
 
 /// Deterministic (non-property) composition check: a downdate that
 /// kills positive definiteness escalates cleanly through the
-/// `factorize_regularized` boost ladder on the re-assembled matrix —
+/// `factorize_regularized_kernel` boost ladder on the re-assembled matrix —
 /// the fallback route the contingency sweep takes.
 #[test]
 fn failed_downdate_composes_with_regularized_refactorization() {
-    use tracered_sparse::{factorize_regularized, BoostSchedule};
+    use tracered_sparse::{factorize_regularized_kernel, BoostSchedule};
 
     let a = grid_spd(6, 6, 1e-9, 7);
     let n = a.ncols();
@@ -261,7 +291,13 @@ fn failed_downdate_composes_with_regularized_refactorization() {
     // …and the caller re-assembles A − v vᵀ and climbs the ladder; the
     // boosted factor is still usable as a (degraded) preconditioner.
     let ap = perturbed(&a, &vec, -1.0);
-    let reg = factorize_regularized(&ap, Ordering::MinDegree, &BoostSchedule::default());
+    let reg = factorize_regularized_kernel(
+        &ap,
+        Ordering::MinDegree,
+        KernelVariant::Scalar,
+        1,
+        &BoostSchedule::default(),
+    );
     assert!(reg.is_ok());
     assert!(!reg.unwrap().is_unboosted());
 }

@@ -7,7 +7,7 @@
 //! cargo run --release -p tracered-bench --example compare_baselines
 //! ```
 
-use tracered_core::metrics::{relative_condition_number, trace_proxy_hutchinson};
+use tracered_core::metrics::{relative_condition_number, trace_proxy_hutchinson_threads};
 use tracered_core::{sparsify, Method, SparsifyConfig};
 use tracered_graph::gen::{grid2d, tri_mesh, WeightProfile};
 use tracered_graph::Graph;
@@ -28,7 +28,7 @@ fn report(name: &str, g: &Graph) -> Result<(), Box<dyn std::error::Error>> {
         let lg = sp.graph_laplacian(g);
         let pre = CholPreconditioner::from_matrix(&sp.laplacian(g))?;
         let kappa = relative_condition_number(&lg, pre.factor(), 60, 3);
-        let trace = trace_proxy_hutchinson(&lg, pre.factor(), 30, 5);
+        let trace = trace_proxy_hutchinson_threads(&lg, pre.factor(), 30, 5, 1);
         let sol = pcg(&lg, &b, &pre, &PcgOptions::with_tolerance(1e-3));
         println!(
             "{:<22} {:>8.1} {:>10.1} {:>8} {:>8.3}",

@@ -10,7 +10,7 @@ use std::time::Instant;
 use tracered_core::{sparsify, sparsify_partitioned, Method, PartitionedConfig, SparsifyConfig};
 use tracered_graph::gen::{tri_mesh, WeightProfile};
 use tracered_graph::laplacian::ShiftPolicy;
-use tracered_partition::{bisect_direct, bisect_pcg, partition_shift, relative_error};
+use tracered_partition::{bisect_direct_threads, bisect_pcg, partition_shift, relative_error};
 use tracered_solver::precond::CholPreconditioner;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Direct solver path.
     let t0 = Instant::now();
-    let direct = bisect_direct(&g, steps, 17)?;
+    let direct = bisect_direct_threads(&g, steps, 17, 1)?;
     let t_direct = t0.elapsed();
     println!(
         "direct   : {:.3}s, cut weight {:.0}, balance {:.3}",

@@ -1,9 +1,11 @@
-//! End-to-end tests for the beyond-the-paper extensions (DESIGN.md X1–X10).
+//! End-to-end tests for the beyond-the-paper extensions: JL resistances,
+//! k-way partitioning, stretch and trace tracking, the IC(0) comparison
+//! and trapezoidal integration.
 
 use tracered_core::{sparsify, Method, SparsifyConfig};
 use tracered_graph::gen::{grid2d, tri_mesh, WeightProfile};
 use tracered_graph::laplacian::laplacian_with_shifts;
-use tracered_partition::recursive_bisection;
+use tracered_partition::recursive_bisection_threads;
 use tracered_powergrid::synth::{synthesize, SynthConfig};
 use tracered_powergrid::transient::{
     probe_pair, simulate_direct, IntegrationScheme, TransientConfig,
@@ -90,9 +92,9 @@ fn kway_partition_cut_grows_sublinearly_in_parts() {
     // Doubling the part count on a grid should add roughly one more
     // separator's worth of cut, not double it: cut(4) < 3·cut(2).
     let g = grid2d(16, 16, WeightProfile::Unit, 9);
-    let c2 = recursive_bisection(&g, 2, 8, 1).unwrap().cut_weight;
-    let c4 = recursive_bisection(&g, 4, 8, 1).unwrap().cut_weight;
-    let c8 = recursive_bisection(&g, 8, 8, 1).unwrap().cut_weight;
+    let c2 = recursive_bisection_threads(&g, 2, 8, 1, 1).unwrap().cut_weight;
+    let c4 = recursive_bisection_threads(&g, 4, 8, 1, 1).unwrap().cut_weight;
+    let c8 = recursive_bisection_threads(&g, 8, 8, 1, 1).unwrap().cut_weight;
     assert!(c2 < c4 && c4 < c8, "cut must grow with parts: {c2} {c4} {c8}");
     assert!(c4 < 3.0 * c2, "4-way cut {c4} should be < 3x bisection cut {c2}");
 }

@@ -10,7 +10,8 @@ use tracered_powergrid::synth::{synthesize, SynthConfig};
 use tracered_powergrid::transient::{probe_pair, simulate_direct, TransientConfig};
 use tracered_solver::pcg::{pcg, PcgOptions};
 use tracered_solver::precond::CholPreconditioner;
-use tracered_sparse::CscMatrix;
+use tracered_sparse::order::Ordering;
+use tracered_sparse::{CholeskyFactor, CscMatrix, KernelVariant};
 
 const SWEEP: [usize; 3] = [1, 2, 4];
 
@@ -41,7 +42,12 @@ fn sparsify_then_pcg_is_invariant_under_factor_threads() {
         assert!(sp.report().iterations.iter().all(|it| it.factor_threads == threads));
 
         let lg = sp.graph_laplacian(&g);
-        let pre = CholPreconditioner::from_matrix_threads(&sp.laplacian(&g), threads).unwrap();
+        let lp = sp.laplacian(&g);
+        let perm = Ordering::MinDegree.compute(&lp).unwrap();
+        let pre = CholPreconditioner::from_factor(
+            CholeskyFactor::factorize_with_perm_kernel(&lp, perm, KernelVariant::Scalar, threads)
+                .unwrap(),
+        );
         let sol = pcg(&lg, &b, &pre, &PcgOptions::with_tolerance(1e-6));
         assert!(sol.converged);
         let history = residual_history(&lg, &b, &pre, 12);

@@ -4,13 +4,13 @@
 use tracered_core::{sparsify, Method, SparsifyConfig};
 use tracered_graph::gen::{grid2d, tri_mesh, WeightProfile};
 use tracered_graph::laplacian::ShiftPolicy;
-use tracered_partition::{bisect_direct, bisect_pcg, partition_shift, relative_error};
+use tracered_partition::{bisect_direct_threads, bisect_pcg, partition_shift, relative_error};
 use tracered_solver::precond::CholPreconditioner;
 
 #[test]
 fn all_methods_reproduce_the_direct_partition() {
     let g = tri_mesh(24, 15, WeightProfile::Unit, 13);
-    let direct = bisect_direct(&g, 5, 99).unwrap();
+    let direct = bisect_direct_threads(&g, 5, 99, 1).unwrap();
     let s = partition_shift(&g);
     for method in [Method::TraceReduction, Method::Grass, Method::EffectiveResistance] {
         let sp = sparsify(&g, &SparsifyConfig::new(method).shift(ShiftPolicy::Uniform(s))).unwrap();
@@ -26,7 +26,7 @@ fn all_methods_reproduce_the_direct_partition() {
 fn rectangular_grid_cut_is_near_optimal() {
     // For an r×c grid with r > c the optimal bisection cuts c edges.
     let g = grid2d(30, 10, WeightProfile::Unit, 3);
-    let b = bisect_direct(&g, 8, 5).unwrap();
+    let b = bisect_direct_threads(&g, 8, 5, 1).unwrap();
     assert!(b.cut_weight <= 14.0, "cut {} too heavy for a 30x10 grid", b.cut_weight);
     assert!((b.balance - 0.5).abs() < 0.01);
 }

@@ -3,7 +3,7 @@
 //! the paper's Table 1 methodology at test scale.
 
 use tracered_core::metrics::{
-    relative_condition_number, trace_proxy_exact, trace_proxy_hutchinson,
+    relative_condition_number, trace_proxy_exact, trace_proxy_hutchinson_threads,
 };
 use tracered_core::{sparsify, Method, SparsifyConfig};
 use tracered_graph::gen::{grid2d, grid3d, tri_mesh, WeightProfile};
@@ -72,7 +72,7 @@ fn trace_proxy_dominates_kappa_across_methods() {
         let kappa = relative_condition_number(&lg, pre.factor(), 80, 7);
         let trace = trace_proxy_exact(&lg, pre.factor());
         assert!(trace >= kappa - 1e-6, "{method:?}: trace {trace} < κ {kappa}");
-        let hutch = trace_proxy_hutchinson(&lg, pre.factor(), 150, 8);
+        let hutch = trace_proxy_hutchinson_threads(&lg, pre.factor(), 150, 8, 1);
         assert!((hutch - trace).abs() < 0.2 * trace, "{method:?}: hutchinson off");
     }
 }

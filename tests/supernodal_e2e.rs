@@ -35,7 +35,13 @@ fn sparsify_then_pcg_supernodal_matches_scalar() {
         let ls = sp.laplacian(&g);
         // Route the preconditioner factorization itself through the
         // kernel under test.
-        let f = CholeskyFactor::factorize_kernel(&ls, Ordering::MinDegree, kernel, 1).unwrap();
+        let f = CholeskyFactor::factorize_with_perm_kernel(
+            &ls,
+            Ordering::MinDegree.compute(&ls).unwrap(),
+            kernel,
+            1,
+        )
+        .unwrap();
         let pre = CholPreconditioner::from_factor(f);
         let sol = pcg(&lg, &b, &pre, &PcgOptions::with_tolerance(1e-6));
         assert!(sol.converged, "{kernel:?} pipeline must converge");

@@ -22,7 +22,7 @@ use tracered_service::{ContextSpec, ServiceConfig, ServiceRequest, SolverService
 use tracered_solver::pcg::{pcg, PcgOptions};
 use tracered_solver::precond::CholPreconditioner;
 use tracered_sparse::order::Ordering;
-use tracered_sparse::CholeskyFactor;
+use tracered_sparse::{CholeskyFactor, KernelVariant};
 
 /// Serializes tests that flip the process-global tracing flag.
 static TRACING_FLAG: Mutex<()> = Mutex::new(());
@@ -78,7 +78,13 @@ fn parallel_factorization_is_bit_identical_under_tracing() {
     let n = g.num_nodes();
     let l = laplacian_with_shifts(&g, &vec![1e-3; n]);
     let (plain, traced) = plain_and_traced(|| {
-        CholeskyFactor::factorize_threads(&l, Ordering::MinDegree, 4).expect("SPD")
+        CholeskyFactor::factorize_with_perm_kernel(
+            &l,
+            Ordering::MinDegree.compute(&l).expect("square matrix"),
+            KernelVariant::Scalar,
+            4,
+        )
+        .expect("SPD")
     });
     assert_eq!(plain.l().colptr(), traced.l().colptr(), "factor pattern changed under tracing");
     assert_bits_eq(plain.l().values(), traced.l().values(), "Cholesky factor");
