@@ -43,9 +43,10 @@ use std::collections::VecDeque;
 use tracered_graph::{Graph, RootedTree};
 use tracered_sparse::{ApproxInverse, CholeskyFactor};
 
-/// Minimum candidates per chunk: a β-layer BFS costs far more than queue
-/// traffic, so modest chunks still amortise scratch reuse while giving
-/// the scheduler enough pieces to balance skewed neighbourhood sizes.
+/// Minimum candidates per chunk: scoring one candidate costs far more than
+/// queue traffic, so modest chunks still amortise scratch reuse while
+/// giving the scheduler enough pieces to balance skewed neighbourhood
+/// sizes.
 const MIN_CHUNK: usize = 16;
 
 /// Reusable scratch for tree-phase scoring — one arena per worker.
@@ -256,44 +257,141 @@ fn tree_bfs_voltages(
     }
 }
 
+/// Budget of the neighbourhood table, in arena entries per node plus
+/// edge of `g`. Measured at β = 5, the lists of all candidate endpoints
+/// hold Σ|N_S(v, β)| ≈ 17.5–22·n entries per densification round on a
+/// weighted `tri_mesh(150, 88)` (budget 8·(n + m) ≈ 31.7·n) and 16–19·n on
+/// a synthetic power grid (budget ≈ 23.8·n). A hub graph (a wheel's β-ball
+/// is the whole graph) would need O(n²) entries, so endpoints past the
+/// budget are searched per candidate instead.
+const TABLE_ENTRIES_PER_NODE_AND_EDGE: usize = 8;
+
+/// The β-layer BFS lists `N_S(v, β)` of the candidate endpoints, built
+/// once per scoring call into one flat arena of node ids.
+struct Neighbourhoods<'g> {
+    subgraph: &'g Graph,
+    beta: usize,
+    /// `(start, len)` of `v`'s list in `arena`; `len == 0` (lists hold at
+    /// least `v` itself) marks a node without one.
+    spans: Vec<(u32, u32)>,
+    arena: Vec<u32>,
+}
+
+/// Arena cap of the neighbourhood table for a graph with `n` nodes and
+/// `m` edges.
+fn table_cap(n: usize, m: usize) -> usize {
+    (TABLE_ENTRIES_PER_NODE_AND_EDGE * (n + m)).min(u32::MAX as usize)
+}
+
+impl<'g> Neighbourhoods<'g> {
+    /// Tabulates the endpoints of `candidates` in candidate order until
+    /// the next list would push the arena past its cap.
+    fn build(g: &Graph, subgraph: &'g Graph, candidates: &[usize], beta: usize) -> Self {
+        let n = subgraph.num_nodes();
+        let cap = table_cap(n, g.num_edges());
+        let mut table =
+            Neighbourhoods { subgraph, beta, spans: vec![(0, 0); n], arena: Vec::new() };
+        let mut seen = vec![0u32; n];
+        let mut list = Vec::new();
+        // One stamp per tabulated endpoint: at most n, so it cannot wrap.
+        let mut stamp = 0u32;
+        for &eid in candidates {
+            let e = g.edge(eid);
+            for v in [e.u, e.v] {
+                if table.spans[v].1 != 0 {
+                    continue;
+                }
+                stamp += 1;
+                list.clear();
+                subgraph_bfs(subgraph, v, beta, stamp, &mut seen, &mut list);
+                if table.arena.len() + list.len() > cap {
+                    return table;
+                }
+                table.spans[v] = (table.arena.len() as u32, list.len() as u32);
+                table.arena.extend_from_slice(&list);
+            }
+        }
+        table
+    }
+
+    /// `N_S(v, β)` in BFS order: `v`'s stored list, or for a node without
+    /// one a fresh BFS into `out` that stamps `member` with `stamp`.
+    fn neighbourhood<'a>(
+        &'a self,
+        v: usize,
+        stamp: u32,
+        member: &mut [u32],
+        out: &'a mut Vec<u32>,
+    ) -> &'a [u32] {
+        let (start, len) = self.spans[v];
+        if len > 0 {
+            return &self.arena[start as usize..(start + len) as usize];
+        }
+        out.clear();
+        subgraph_bfs(self.subgraph, v, self.beta, stamp, member, out);
+        out
+    }
+}
+
 /// Reusable scratch for subgraph-phase scoring — one arena per worker.
 struct SubgraphScratch {
-    stamp: u64,
-    member_p: Vec<u64>,
-    member_q: Vec<u64>,
-    edge_stamp: Vec<u64>,
-    nbr_p: Vec<usize>,
-    nbr_q: Vec<usize>,
-    queue: VecDeque<(usize, usize)>,
-    /// Dense scatter of z̃_pq (in permuted index space).
+    /// Generation counter for the stamp arrays below; they are zeroed
+    /// whenever it wraps, since the pool keeps a worker's scratch for the
+    /// life of the process.
+    stamp: u32,
+    /// Marks of a BFS from p that missed the table (visited set only).
+    member_p: Vec<u32>,
+    /// Membership of N_S(q, β), also the visited set of its BFS.
+    member_q: Vec<u32>,
+    /// Nodes of N_S(p, β) whose incident edges were already summed.
+    done_p: Vec<u32>,
+    /// `(stamp, z̃_i·z̃_pq)` per node: each dot product once per candidate.
+    memo: Vec<(u32, f64)>,
+    nbr_p: Vec<u32>,
+    nbr_q: Vec<u32>,
+    /// Dense scatter of z̃_pq (in permuted index space), zero between
+    /// candidates.
     zpq_dense: Vec<f64>,
-    zpq_touched: Vec<usize>,
 }
 
 impl SubgraphScratch {
-    fn new(n: usize, m: usize) -> Self {
+    fn new(n: usize) -> Self {
         SubgraphScratch {
             stamp: 0,
             member_p: vec![0; n],
             member_q: vec![0; n],
-            edge_stamp: vec![0; m],
+            done_p: vec![0; n],
+            memo: vec![(0, 0.0); n],
             nbr_p: Vec::new(),
             nbr_q: Vec::new(),
-            queue: VecDeque::new(),
             zpq_dense: vec![0.0; n],
-            zpq_touched: Vec::new(),
         }
     }
 
     /// Recycling factory (see [`TreeScratch::recycle`]): dimension match
-    /// suffices — stamps stay monotone and `zpq_dense` is rezeroed via
-    /// `zpq_touched` after every candidate, so a cached arena meets the
-    /// same invariants as a fresh one.
-    fn recycle(cached: Option<Self>, n: usize, m: usize) -> Self {
+    /// suffices — stamps stay monotone (wraps reset every stamp array)
+    /// and `zpq_dense` is rezeroed over the patterns of z̃_p and z̃_q
+    /// after every candidate, so a cached arena meets the same invariants
+    /// as a fresh one.
+    fn recycle(cached: Option<Self>, n: usize) -> Self {
         match cached {
-            Some(s) if s.member_p.len() == n && s.edge_stamp.len() == m => s,
-            _ => SubgraphScratch::new(n, m),
+            Some(s) if s.member_p.len() == n => s,
+            _ => SubgraphScratch::new(n),
         }
+    }
+
+    /// The next stamp, after zeroing every stamp array if the counter
+    /// would wrap.
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            self.member_p.fill(0);
+            self.member_q.fill(0);
+            self.done_p.fill(0);
+            self.memo.fill((0, 0.0));
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.stamp
     }
 }
 
@@ -301,64 +399,62 @@ impl SubgraphScratch {
 /// serial loop, shared verbatim by the serial and parallel paths).
 fn subgraph_phase_score_one(
     g: &Graph,
-    subgraph: &Graph,
+    hoods: &Neighbourhoods<'_>,
     factor: &CholeskyFactor,
     zinv: &ApproxInverse,
     eid: usize,
-    beta: usize,
     s: &mut SubgraphScratch,
 ) -> f64 {
     let perm = factor.perm();
     let e = g.edge(eid);
     let (p, q, w) = (e.u, e.v, e.weight);
-    s.stamp += 1;
-    let stamp = s.stamp;
+    let stamp = s.next_stamp();
     // z̃_pq = z̃_p − z̃_q in permuted space.
-    let pp = perm.old_to_new(p);
-    let qq = perm.old_to_new(q);
-    let zp = zinv.column(pp);
-    let zq = zinv.column(qq);
-    // Scatter and record touched entries for cheap clearing.
+    let zp = zinv.column(perm.old_to_new(p));
+    let zq = zinv.column(perm.old_to_new(q));
     for (i, v) in zp.iter() {
-        if s.zpq_dense[i] == 0.0 {
-            s.zpq_touched.push(i);
-        }
         s.zpq_dense[i] += v;
     }
     for (i, v) in zq.iter() {
-        if s.zpq_dense[i] == 0.0 {
-            s.zpq_touched.push(i);
-        }
         s.zpq_dense[i] -= v;
     }
     // R̃(p, q) = ‖z̃_pq‖² (since e_pqᵀ L_S⁻¹ e_pq = ‖L⁻¹ e_pq‖²).
     let r_approx: f64 = zp.norm_sq() - 2.0 * zp.dot(zq) + zq.norm_sq();
-    // β-layer neighbourhoods in the subgraph.
-    s.nbr_p.clear();
-    s.nbr_q.clear();
-    subgraph_bfs(subgraph, p, beta, stamp, &mut s.member_p, &mut s.queue, &mut s.nbr_p);
-    subgraph_bfs(subgraph, q, beta, stamp, &mut s.member_q, &mut s.queue, &mut s.nbr_q);
-    // Σ over graph edges (i, j), i ∈ N_S(p, β), j ∈ N_S(q, β).
+    // β-layer neighbourhoods in the subgraph; only N_S(q, β) needs a
+    // membership test.
+    let nq = hoods.neighbourhood(q, stamp, &mut s.member_q, &mut s.nbr_q);
+    for &j in nq {
+        s.member_q[j as usize] = stamp;
+    }
+    let np = hoods.neighbourhood(p, stamp, &mut s.member_p, &mut s.nbr_p);
+    // z̃_i·z̃_pq, computed once per node and candidate.
+    let zpq = &s.zpq_dense;
+    let memo = &mut s.memo;
+    let mut voltage = |i: usize| {
+        if memo[i].0 != stamp {
+            memo[i] = (stamp, zinv.column(perm.old_to_new(i)).dot_dense(zpq));
+        }
+        memo[i].1
+    };
+    // Σ over graph edges (i, j), i ∈ N_S(p, β), j ∈ N_S(q, β), each edge
+    // once: at its first visit in N_S(p, β) order. A visit i → j repeats
+    // one made from j exactly when j was walked earlier and i ∈ N_S(q, β).
     let mut sum = 0.0;
-    for &i in &s.nbr_p {
+    for &i in np {
+        let i = i as usize;
+        let i_in_q = s.member_q[i] == stamp;
+        s.done_p[i] = stamp;
         for &(j, cross_eid) in g.neighbors(i) {
-            if s.member_q[j] != stamp || s.edge_stamp[cross_eid] == stamp {
+            if s.member_q[j] != stamp || (i_in_q && s.done_p[j] == stamp) {
                 continue;
             }
-            s.edge_stamp[cross_eid] = stamp;
-            let ii = perm.old_to_new(i);
-            let jj = perm.old_to_new(j);
-            let di = zinv.column(ii).dot_dense(&s.zpq_dense);
-            let dj = zinv.column(jj).dot_dense(&s.zpq_dense);
-            let drop = di - dj;
+            let drop = voltage(i) - voltage(j);
             sum += g.edge(cross_eid).weight * drop * drop;
         }
     }
-    // Clear the scatter buffer.
-    for &i in &s.zpq_touched {
-        s.zpq_dense[i] = 0.0;
+    for i in zp.indices().iter().chain(zq.indices()) {
+        s.zpq_dense[*i] = 0.0;
     }
-    s.zpq_touched.clear();
     w * sum / (1.0 + w * r_approx)
 }
 
@@ -374,14 +470,19 @@ fn subgraph_phase_score_one(
 /// - `zinv`: Algorithm 1 output for `factor.l()`;
 /// - `beta`: BFS truncation radius.
 ///
-/// Returns one score per candidate, aligned with the input order. Same
+/// Returns one score per candidate, aligned with the input order. The
+/// β-layer neighbourhood of every candidate endpoint is computed once per
+/// call into a shared table (up to a fixed budget of entries; see
+/// `ARCHITECTURE.md`), and `z̃_i·z̃_pq` once per node and candidate. Same
 /// work-stealing decomposition and determinism contract as
-/// [`tree_phase_scores_threads`]: one scratch arena (stamps, BFS queue,
-/// z̃ scatter buffer) per worker, bit-identical index-aligned output.
+/// [`tree_phase_scores_threads`]: one scratch arena (stamps, memo, BFS
+/// lists, z̃ scatter buffer) per worker, bit-identical index-aligned
+/// output.
 ///
 /// # Panics
 ///
-/// Panics if dimensions are inconsistent.
+/// Panics if dimensions are inconsistent or the graph has `u32::MAX`
+/// nodes or more.
 pub fn subgraph_phase_scores_threads(
     g: &Graph,
     subgraph: &Graph,
@@ -395,24 +496,23 @@ pub fn subgraph_phase_scores_threads(
     assert_eq!(subgraph.num_nodes(), n, "subgraph must share the node set");
     assert_eq!(factor.n(), n, "factor dimension must match the graph");
     assert_eq!(zinv.n(), n, "approximate inverse dimension must match");
-    let m = g.num_edges();
+    assert!(n < u32::MAX as usize, "node ids must fit in u32");
+    let hoods = Neighbourhoods::build(g, subgraph, candidates, beta);
     let mut scores = vec![0.0f64; candidates.len()];
     let chunk = tracered_par::chunk_size(candidates.len(), threads, MIN_CHUNK);
     tracered_par::par_chunks_mut_scratch(
         &mut scores,
         chunk,
         threads,
-        |cached| SubgraphScratch::recycle(cached, n, m),
+        |cached| SubgraphScratch::recycle(cached, n),
         |scratch, start, out| {
             for (off, slot) in out.iter_mut().enumerate() {
-                let k = start + off;
                 *slot = subgraph_phase_score_one(
                     g,
-                    subgraph,
+                    &hoods,
                     factor,
                     zinv,
-                    candidates[k],
-                    beta,
+                    candidates[start + off],
                     scratch,
                 );
             }
@@ -421,31 +521,34 @@ pub fn subgraph_phase_scores_threads(
     scores
 }
 
-/// β-layer BFS over the subgraph, collecting members (exposed to tests).
+/// β-layer BFS over the subgraph from `start`, appending members to
+/// `out` in visiting order; the appended part of `out` doubles as the
+/// FIFO queue, expanded one layer at a time.
 fn subgraph_bfs(
     subgraph: &Graph,
     start: usize,
     beta: usize,
-    stamp: u64,
-    member: &mut [u64],
-    queue: &mut VecDeque<(usize, usize)>,
-    out: &mut Vec<usize>,
+    stamp: u32,
+    member: &mut [u32],
+    out: &mut Vec<u32>,
 ) {
     member[start] = stamp;
-    out.push(start);
-    queue.clear();
-    queue.push_back((start, 0));
-    while let Some((x, d)) = queue.pop_front() {
-        if d == beta {
-            continue;
-        }
-        for &(nbr, _) in subgraph.neighbors(x) {
-            if member[nbr] != stamp {
-                member[nbr] = stamp;
-                out.push(nbr);
-                queue.push_back((nbr, d + 1));
+    let mut layer = out.len()..out.len() + 1;
+    out.push(start as u32);
+    for _ in 0..beta {
+        let next = out.len();
+        for k in layer {
+            for &(nbr, _) in subgraph.neighbors(out[k] as usize) {
+                if member[nbr] != stamp {
+                    member[nbr] = stamp;
+                    out.push(nbr as u32);
+                }
             }
         }
+        if next == out.len() {
+            break;
+        }
+        layer = next..out.len();
     }
 }
 
@@ -563,5 +666,71 @@ mod tests {
     fn mismatched_resistances_panic() {
         let (g, tree, off) = cycle(5);
         tree_phase_scores_threads(&g, &tree, &[off], &[], 3, 1);
+    }
+
+    /// A spanning-tree subgraph of `g` with its factor and `Z̃` (δ = 0.1).
+    fn tree_round(g: &Graph) -> (Graph, CholeskyFactor, ApproxInverse, Vec<usize>) {
+        let st = spanning_tree(g, TreeKind::MaxEffectiveWeight).unwrap();
+        let shifts = vec![1e-3; g.num_nodes()];
+        let ls = subgraph_laplacian(g, &st.tree_edges, &shifts);
+        let factor = CholeskyFactor::factorize(&ls, Ordering::MinDegree).unwrap();
+        let zinv = ApproxInverse::build(factor.l(), SpaiOptions::with_threshold(0.1)).unwrap();
+        (g.edge_subgraph(&st.tree_edges), factor, zinv, st.off_tree_edges)
+    }
+
+    #[test]
+    fn stamp_wraparound_resets_the_stamp_arrays() {
+        let g = random_connected(40, 60, WeightProfile::LogUniform { lo: 0.2, hi: 5.0 }, 3);
+        let n = g.num_nodes();
+        let (sub, factor, zinv, cands) = tree_round(&g);
+        // A full table, and an empty one that sends every lookup to the
+        // scratch BFS (and so through `member_p` and `member_q`).
+        for hoods in
+            [Neighbourhoods::build(&g, &sub, &cands, 3), Neighbourhoods::build(&g, &sub, &[], 3)]
+        {
+            let mut fresh = SubgraphScratch::new(n);
+            let mut s = SubgraphScratch::new(n);
+            for &e in &cands {
+                let expect = subgraph_phase_score_one(&g, &hoods, &factor, &zinv, e, &mut fresh);
+                // Every entry stamped 1 long ago, and a counter about to
+                // wrap back to 1: only a reset keeps them from matching.
+                s.member_p.fill(1);
+                s.member_q.fill(1);
+                s.done_p.fill(1);
+                s.memo.fill((1, f64::NAN));
+                s.stamp = u32::MAX;
+                let got = subgraph_phase_score_one(&g, &hoods, &factor, &zinv, e, &mut s);
+                assert_eq!(got.to_bits(), expect.to_bits(), "candidate {e}");
+                assert_eq!(s.stamp, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn hub_neighbourhoods_stay_within_the_table_cap() {
+        // Wheel with heavy spokes: the spanning tree is the star, so every
+        // β ≥ 2 neighbourhood is the whole graph and the table fills up.
+        let n = 3000;
+        let mut edges = Vec::new();
+        for i in 1..n {
+            edges.push((0, i, 10.0));
+            edges.push((i, if i + 1 < n { i + 1 } else { 1 }, 1.0));
+        }
+        let g = Graph::from_edges(n, &edges).unwrap();
+        let (sub, _, _, cands) = tree_round(&g);
+        let beta = 3;
+        let hoods = Neighbourhoods::build(&g, &sub, &cands, beta);
+        assert!(hoods.arena.len() <= table_cap(n, g.num_edges()));
+        let tabled = hoods.spans.iter().filter(|s| s.1 > 0).count();
+        assert!(tabled > 0 && tabled < n - 1, "{tabled} lists: the cap must bind");
+        // Stored and searched lists agree node for node.
+        let mut member = vec![0u32; n];
+        let (mut out, mut fresh) = (Vec::new(), Vec::new());
+        for (k, &v) in [0, 1, n / 2, n - 1].iter().enumerate() {
+            fresh.clear();
+            subgraph_bfs(&sub, v, beta, k as u32 + 1, &mut member, &mut fresh);
+            let got = hoods.neighbourhood(v, k as u32 + 100, &mut member, &mut out);
+            assert_eq!(got, &fresh[..], "node {v}");
+        }
     }
 }

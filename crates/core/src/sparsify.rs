@@ -363,6 +363,8 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
             // The first round scores against the spanning tree (Eq. 15),
             // later rounds against the grown subgraph (Eq. 20).
             Method::TraceReduction if iter_idx == 0 => {
+                let _span =
+                    tracered_obs::span!("sparsify.score.tree", { candidates: candidates.len() });
                 let pairs: Vec<(usize, usize)> =
                     candidates.iter().map(|&id| (g.edge(id).u, g.edge(id).v)).collect();
                 let rs = tree_resistances_threads(&tree, &pairs, threads);
@@ -370,11 +372,14 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
             }
             Method::TraceReduction => {
                 let factor = subgraph_factor(&mut stats)?;
+                let spai_span = tracered_obs::span!("sparsify.spai");
                 let zinv = ApproxInverse::build(
                     factor.l(),
                     SpaiOptions::with_threshold(cfg.spai_threshold_value()),
                 )?;
+                drop(spai_span);
                 stats.spai_nnz = zinv.nnz();
+                let _span = tracered_obs::span!("sparsify.score.subgraph", { candidates: candidates.len() });
                 let subgraph = g.edge_subgraph(&selected);
                 subgraph_phase_scores_threads(
                     g,

@@ -18,7 +18,7 @@
 
 use crate::csc::CscMatrix;
 use crate::error::SparseError;
-use crate::sparsevec::{SparseVec, Workspace};
+use crate::sparsevec::{SparseVecRef, Workspace};
 
 /// Options for the approximate-inverse construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +46,7 @@ impl SpaiOptions {
 }
 
 /// A sparse approximation `Z̃ ≈ L⁻¹` to the inverse of a lower-triangular
-/// Cholesky factor, stored column-wise.
+/// Cholesky factor, stored as one flat compressed-column matrix.
 ///
 /// Indices live in the same (permuted) space as the factor itself; callers
 /// that work with original node ids must map through the factor's
@@ -72,7 +72,7 @@ impl SpaiOptions {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ApproxInverse {
-    columns: Vec<SparseVec>,
+    z: CscMatrix,
 }
 
 impl ApproxInverse {
@@ -84,7 +84,8 @@ impl ApproxInverse {
     ///
     /// Returns [`SparseError::NotSquare`] if `l` is rectangular, and
     /// [`SparseError::InvalidValue`] if the threshold is negative or not
-    /// finite or a diagonal entry is not positive.
+    /// finite, a diagonal entry is not positive, or an entry of `Z̃`
+    /// overflows.
     pub fn build(l: &CscMatrix, options: SpaiOptions) -> Result<Self, SparseError> {
         if l.nrows() != l.ncols() {
             return Err(SparseError::NotSquare { nrows: l.nrows(), ncols: l.ncols() });
@@ -97,7 +98,11 @@ impl ApproxInverse {
         let n = l.ncols();
         let keep_small =
             options.keep_small.unwrap_or_else(|| (n.max(2) as f64).ln().ceil() as usize);
-        let mut columns = vec![SparseVec::zeros(n); n];
+        // Columns are computed back to front and appended as they finish,
+        // so during the build column j occupies `off[j + 1]..off[j]`.
+        let mut off = vec![0usize; n + 1];
+        let mut rowidx = Vec::new();
+        let mut values = Vec::new();
         let mut work = Workspace::new(n);
         for j in (0..n).rev() {
             let (rows, vals) = l.col(j);
@@ -119,7 +124,8 @@ impl ApproxInverse {
                 if coef == 0.0 {
                     continue;
                 }
-                for (r, v) in columns[i].iter() {
+                let col = off[i + 1]..off[i];
+                for (&r, &v) in rowidx[col.clone()].iter().zip(&values[col]) {
                     work.add(r, coef * v);
                 }
             }
@@ -130,60 +136,55 @@ impl ApproxInverse {
             } else {
                 options.threshold * work.max_value()
             };
-            columns[j] = work.gather_and_clear(cutoff);
+            work.gather_and_clear(cutoff, &mut rowidx, &mut values);
+            off[j] = rowidx.len();
         }
-        Ok(ApproxInverse { columns })
+        // Reversing both arrays puts the columns front to back (each one
+        // now descending), `nnz − off[j]` is then the column pointer, and
+        // reversing every column restores increasing row order — all in
+        // place, so no second copy of `Z̃` ever exists.
+        let nnz = rowidx.len();
+        rowidx.reverse();
+        values.reverse();
+        for o in &mut off {
+            *o = nnz - *o;
+        }
+        for j in 0..n {
+            rowidx[off[j]..off[j + 1]].reverse();
+            values[off[j]..off[j + 1]].reverse();
+        }
+        Ok(ApproxInverse { z: CscMatrix::from_raw_parts(n, n, off, rowidx, values)? })
     }
 
     /// Dimension `n`.
     pub fn n(&self) -> usize {
-        self.columns.len()
+        self.z.ncols()
     }
 
     /// Total number of stored nonzeros across all columns.
     pub fn nnz(&self) -> usize {
-        self.columns.iter().map(SparseVec::nnz).sum()
+        self.z.nnz()
     }
 
-    /// Column `j` of `Z̃` (an approximation to `L⁻¹ e_j`).
+    /// Column `j` of `Z̃` (an approximation to `L⁻¹ e_j`), borrowed from
+    /// the flat storage.
     ///
     /// # Panics
     ///
     /// Panics if `j >= self.n()`.
-    pub fn column(&self, j: usize) -> &SparseVec {
-        &self.columns[j]
+    pub fn column(&self, j: usize) -> SparseVecRef<'_> {
+        let (rows, vals) = self.z.col(j);
+        SparseVecRef::new(self.n(), rows, vals)
     }
 
-    /// The column difference `z̃_p − z̃_q`, the building block of the
-    /// paper's Eq. 20 (`z̃_{p,q}` in its notation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of bounds.
-    pub fn column_diff(&self, p: usize, q: usize) -> SparseVec {
-        self.columns[p].sub(&self.columns[q])
-    }
-
-    /// Estimated memory footprint in bytes.
+    /// Memory footprint of the stored arrays in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.nnz() * (std::mem::size_of::<usize>() + std::mem::size_of::<f64>())
+        self.z.memory_bytes()
     }
 
-    /// Converts to a CSC matrix (mainly for inspection and tests).
+    /// A copy of `Z̃` as a CSC matrix (mainly for inspection and tests).
     pub fn to_csc(&self) -> CscMatrix {
-        let n = self.n();
-        let mut colptr = vec![0usize; n + 1];
-        let mut rowidx = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        for (j, col) in self.columns.iter().enumerate() {
-            for (i, v) in col.iter() {
-                rowidx.push(i);
-                values.push(v);
-            }
-            colptr[j + 1] = rowidx.len();
-        }
-        CscMatrix::from_raw_parts(n, n, colptr, rowidx, values)
-            .expect("sparse columns with sorted indices form a valid CSC matrix")
+        self.z.clone()
     }
 }
 
@@ -257,10 +258,26 @@ mod tests {
         let exact = ApproxInverse::build(f.l(), SpaiOptions::with_threshold(0.0)).unwrap();
         let approx = ApproxInverse::build(f.l(), SpaiOptions::with_threshold(0.1)).unwrap();
         for j in 0..30 {
-            let d = exact.column(j).sub(approx.column(j));
-            let rel = d.norm_sq().sqrt() / exact.column(j).norm_sq().sqrt();
+            let d = exact.column(j) - approx.column(j);
+            let rel = d.view().norm_sq().sqrt() / exact.column(j).norm_sq().sqrt();
             assert!(rel < 0.3, "column {j} relative error {rel}");
         }
+    }
+
+    #[test]
+    fn flat_columns_match_the_dense_csc_copy() {
+        let a = path_sdd(10, 0.4);
+        let f = CholeskyFactor::factorize(&a, Ordering::MinDegree).unwrap();
+        let z = ApproxInverse::build(f.l(), SpaiOptions::default()).unwrap();
+        let csc = z.to_csc();
+        assert_eq!(csc.nnz(), z.nnz());
+        for j in 0..z.n() {
+            let (rows, vals) = csc.col(j);
+            assert_eq!(z.column(j).indices(), rows);
+            assert_eq!(z.column(j).values(), vals);
+        }
+        let words = std::mem::size_of::<usize>();
+        assert_eq!(z.memory_bytes(), (z.n() + 1) * words + z.nnz() * (words + 8));
     }
 
     #[test]
@@ -268,9 +285,11 @@ mod tests {
         let a = path_sdd(10, 0.4);
         let f = CholeskyFactor::factorize(&a, Ordering::Natural).unwrap();
         let z = ApproxInverse::build(f.l(), SpaiOptions::default()).unwrap();
-        let d = z.column_diff(7, 3);
-        let manual = z.column(7).sub(z.column(3));
-        assert_eq!(d, manual);
+        let d = (z.column(7) - z.column(3)).to_dense();
+        let dense = z.to_csc().to_dense();
+        for i in 0..10 {
+            assert_eq!(d[i], dense[(i, 7)] - dense[(i, 3)], "row {i}");
+        }
     }
 
     #[test]

@@ -3,8 +3,10 @@
 /// A sparse vector stored as parallel `(index, value)` arrays with strictly
 /// increasing indices.
 ///
-/// Used for the columns of the approximate inverse factor (paper's
-/// Algorithm 1) and for scattering/gathering in the trace-reduction kernels.
+/// The owned form of [`SparseVecRef`]; its kernels run on
+/// [`SparseVec::view`]. The columns of the approximate inverse (paper's
+/// Algorithm 1) are views of one flat array, while differences such as
+/// `z̃_p − z̃_q` are owned.
 ///
 /// # Example
 ///
@@ -13,7 +15,7 @@
 ///
 /// let a = SparseVec::from_entries(4, vec![(0, 1.0), (2, 3.0)]);
 /// let b = SparseVec::from_entries(4, vec![(2, 2.0), (3, 5.0)]);
-/// assert_eq!(a.dot(&b), 6.0);
+/// assert_eq!(a.view().dot(b.view()), 6.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseVec {
@@ -23,11 +25,6 @@ pub struct SparseVec {
 }
 
 impl SparseVec {
-    /// An all-zero sparse vector of dimension `dim`.
-    pub fn zeros(dim: usize) -> Self {
-        SparseVec { dim, indices: Vec::new(), values: Vec::new() }
-    }
-
     /// Builds a sparse vector from `(index, value)` entries.
     ///
     /// Entries are sorted and deduplicated by summation; exact zeros are
@@ -59,14 +56,9 @@ impl SparseVec {
         SparseVec { dim, indices, values }
     }
 
-    /// Dimension of the vector.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
+    /// Borrowed view of this vector, which carries the kernels.
+    pub fn view(&self) -> SparseVecRef<'_> {
+        SparseVecRef { dim: self.dim, indices: &self.indices, values: &self.values }
     }
 
     /// Stored indices (strictly increasing).
@@ -79,8 +71,57 @@ impl SparseVec {
         &self.values
     }
 
+    /// Converts to a dense vector.
+    pub fn to_dense(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.dim];
+        for (i, v) in self.view().iter() {
+            out[i] = v;
+        }
+        out
+    }
+}
+
+/// A borrowed sparse vector: the layout of [`SparseVec`] (strictly
+/// increasing indices) over storage owned elsewhere, such as a column of
+/// a flat [`crate::ApproxInverse`]. The sparse kernels live here, for
+/// owned vectors and views alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SparseVecRef<'a> {
+    dim: usize,
+    indices: &'a [usize],
+    values: &'a [f64],
+}
+
+impl<'a> SparseVecRef<'a> {
+    /// Views `(indices, values)` as a vector of dimension `dim`; the
+    /// caller guarantees strictly increasing indices below `dim`.
+    pub(crate) fn new(dim: usize, indices: &'a [usize], values: &'a [f64]) -> Self {
+        debug_assert_eq!(indices.len(), values.len());
+        SparseVecRef { dim, indices, values }
+    }
+
+    /// Dimension of the vector.
+    pub fn dim(self) -> usize {
+        self.dim
+    }
+
+    /// Number of stored nonzeros.
+    pub fn nnz(self) -> usize {
+        self.indices.len()
+    }
+
+    /// Stored indices (strictly increasing).
+    pub fn indices(self) -> &'a [usize] {
+        self.indices
+    }
+
+    /// Stored values.
+    pub fn values(self) -> &'a [f64] {
+        self.values
+    }
+
     /// Iterates over `(index, value)` pairs in increasing index order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub fn iter(self) -> impl Iterator<Item = (usize, f64)> + 'a {
         self.indices.iter().copied().zip(self.values.iter().copied())
     }
 
@@ -89,7 +130,7 @@ impl SparseVec {
     /// # Panics
     ///
     /// Panics if dimensions differ.
-    pub fn dot(&self, other: &SparseVec) -> f64 {
+    pub fn dot(self, other: SparseVecRef<'_>) -> f64 {
         assert_eq!(self.dim, other.dim, "dimensions must match");
         let (mut i, mut j) = (0, 0);
         let mut acc = 0.0;
@@ -112,36 +153,31 @@ impl SparseVec {
     /// # Panics
     ///
     /// Panics if `dense.len() != self.dim()`.
-    pub fn dot_dense(&self, dense: &[f64]) -> f64 {
+    pub fn dot_dense(self, dense: &[f64]) -> f64 {
         assert_eq!(dense.len(), self.dim, "dimensions must match");
         self.iter().map(|(i, v)| v * dense[i]).sum()
     }
 
-    /// Returns `self - other` as a new sparse vector.
+    /// Squared Euclidean norm.
+    pub fn norm_sq(self) -> f64 {
+        self.values.iter().map(|v| v * v).sum()
+    }
+}
+
+impl std::ops::Sub for SparseVecRef<'_> {
+    type Output = SparseVec;
+
+    /// `self − other` as a new sparse vector.
     ///
     /// # Panics
     ///
     /// Panics if dimensions differ.
-    pub fn sub(&self, other: &SparseVec) -> SparseVec {
+    fn sub(self, other: Self) -> SparseVec {
         assert_eq!(self.dim, other.dim, "dimensions must match");
         let mut entries = Vec::with_capacity(self.nnz() + other.nnz());
         entries.extend(self.iter());
         entries.extend(other.iter().map(|(i, v)| (i, -v)));
         SparseVec::from_entries(self.dim, entries)
-    }
-
-    /// Squared Euclidean norm.
-    pub fn norm_sq(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum()
-    }
-
-    /// Converts to a dense vector.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.dim];
-        for (i, v) in self.iter() {
-            out[i] = v;
-        }
-        out
     }
 }
 
@@ -198,12 +234,16 @@ impl Workspace {
         self.touched.iter().map(|&i| self.dense[i]).fold(0.0, f64::max)
     }
 
-    /// Harvests all touched entries with `|value| > threshold` into a
-    /// [`SparseVec`], then clears the workspace for reuse.
-    pub fn gather_and_clear(&mut self, threshold: f64) -> SparseVec {
+    /// Appends all touched entries with `|value| > threshold` to
+    /// `indices`/`values` in increasing index order, then clears the
+    /// workspace for reuse.
+    pub fn gather_and_clear(
+        &mut self,
+        threshold: f64,
+        indices: &mut Vec<usize>,
+        values: &mut Vec<f64>,
+    ) {
         self.touched.sort_unstable();
-        let mut indices = Vec::with_capacity(self.touched.len());
-        let mut values = Vec::with_capacity(self.touched.len());
         for &i in &self.touched {
             let v = self.dense[i];
             if v.abs() > threshold {
@@ -214,7 +254,6 @@ impl Workspace {
             self.flags[i] = false;
         }
         self.touched.clear();
-        SparseVec { dim: self.dense.len(), indices, values }
     }
 
     /// Clears the workspace without harvesting.
@@ -242,24 +281,24 @@ mod tests {
     fn dot_merge_join() {
         let a = SparseVec::from_entries(6, vec![(0, 1.0), (2, 2.0), (5, 3.0)]);
         let b = SparseVec::from_entries(6, vec![(2, 4.0), (3, 9.0), (5, -1.0)]);
-        assert_eq!(a.dot(&b), 8.0 - 3.0);
+        assert_eq!(a.view().dot(b.view()), 8.0 - 3.0);
     }
 
     #[test]
     fn sub_and_norm() {
         let a = SparseVec::from_entries(4, vec![(0, 1.0), (1, 2.0)]);
         let b = SparseVec::from_entries(4, vec![(1, 2.0), (2, -1.0)]);
-        let d = a.sub(&b);
+        let d = a.view() - b.view();
         assert_eq!(d.indices(), &[0, 2]);
         assert_eq!(d.values(), &[1.0, 1.0]);
-        assert_eq!(d.norm_sq(), 2.0);
+        assert_eq!(d.view().norm_sq(), 2.0);
     }
 
     #[test]
     fn dense_roundtrip() {
         let a = SparseVec::from_entries(4, vec![(1, 5.0), (3, -2.0)]);
         assert_eq!(a.to_dense(), vec![0.0, 5.0, 0.0, -2.0]);
-        assert_eq!(a.dot_dense(&[1.0, 1.0, 1.0, 1.0]), 3.0);
+        assert_eq!(a.view().dot_dense(&[1.0, 1.0, 1.0, 1.0]), 3.0);
     }
 
     #[test]
@@ -270,14 +309,15 @@ mod tests {
         w.add(3, 0.5);
         assert_eq!(w.touched_len(), 2);
         assert_eq!(w.max_value(), 2.0);
-        let v = w.gather_and_clear(0.0);
-        assert_eq!(v.indices(), &[1, 3]);
-        assert_eq!(v.values(), &[2.0, 1.5]);
-        // Reusable after clear.
+        let (mut idx, mut val) = (Vec::new(), Vec::new());
+        w.gather_and_clear(0.0, &mut idx, &mut val);
+        assert_eq!(idx, [1, 3]);
+        assert_eq!(val, [2.0, 1.5]);
+        // Reusable after clear; later gathers append.
         assert_eq!(w.touched_len(), 0);
         w.add(0, 7.0);
-        let v2 = w.gather_and_clear(0.0);
-        assert_eq!(v2.indices(), &[0]);
+        w.gather_and_clear(0.0, &mut idx, &mut val);
+        assert_eq!(idx, [1, 3, 0]);
     }
 
     #[test]
@@ -285,8 +325,9 @@ mod tests {
         let mut w = Workspace::new(4);
         w.add(0, 1.0);
         w.add(1, 0.001);
-        let v = w.gather_and_clear(0.01);
-        assert_eq!(v.indices(), &[0]);
+        let (mut idx, mut val) = (Vec::new(), Vec::new());
+        w.gather_and_clear(0.01, &mut idx, &mut val);
+        assert_eq!(idx, [0]);
         // Pruned position must still be reset.
         w.add(1, 0.0);
         assert_eq!(w.get(1), 0.0);

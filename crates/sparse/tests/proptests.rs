@@ -188,8 +188,8 @@ proptest! {
             .zip(sb.to_dense().iter())
             .map(|(x, y)| x * y)
             .sum();
-        prop_assert!((sa.dot(&sb) - dense_dot).abs() < 1e-9);
-        prop_assert!((sa.dot_dense(&sb.to_dense()) - dense_dot).abs() < 1e-9);
+        prop_assert!((sa.view().dot(sb.view()) - dense_dot).abs() < 1e-9);
+        prop_assert!((sa.view().dot_dense(&sb.to_dense()) - dense_dot).abs() < 1e-9);
     }
 
     #[test]

@@ -100,6 +100,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sparsify",
         "sparsify.tree",
         "sparsify.iter",
+        "sparsify.score.tree",
+        "sparsify.spai",
+        "sparsify.score.subgraph",
         "chol.factorize",
         "chol.numeric",
         "service.linger",
