@@ -292,12 +292,12 @@ impl BenchRecord {
                 out.push_str(", ");
             }
             out.push('"');
-            out.push_str(&json_escape(k));
+            out.push_str(&tracered_obs::escape_json(k));
             out.push_str("\": ");
             match v {
                 JsonValue::Str(s) => {
                     out.push('"');
-                    out.push_str(&json_escape(s));
+                    out.push_str(&tracered_obs::escape_json(s));
                     out.push('"');
                 }
                 JsonValue::Int(n) => out.push_str(&n.to_string()),
@@ -308,22 +308,6 @@ impl BenchRecord {
         }
         out.push('}');
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Serializes records as a JSON array (one object per line for easy

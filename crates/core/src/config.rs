@@ -3,7 +3,7 @@
 use tracered_graph::laplacian::ShiftPolicy;
 use tracered_graph::mst::TreeKind;
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{BoostSchedule, KernelVariant};
+use tracered_sparse::{BoostSchedule, FactorOptions, Fnv64, KernelVariant};
 
 use crate::error::CoreError;
 
@@ -56,7 +56,6 @@ pub struct SparsifyConfig {
     similarity_layers: usize,
     use_similarity_exclusion: bool,
     tree_kind: TreeKind,
-    ordering: Ordering,
     shift: ShiftPolicy,
     grass_power_steps: usize,
     grass_num_vectors: usize,
@@ -64,9 +63,7 @@ pub struct SparsifyConfig {
     seed: u64,
     track_trace: bool,
     threads: Option<usize>,
-    factor_threads: Option<usize>,
-    kernel: KernelVariant,
-    pivot_boost: Option<BoostSchedule>,
+    factor: FactorOptions,
 }
 
 impl Default for SparsifyConfig {
@@ -90,7 +87,6 @@ impl SparsifyConfig {
             // runs without it.
             use_similarity_exclusion: method != Method::Grass,
             tree_kind: TreeKind::MaxEffectiveWeight,
-            ordering: Ordering::MinDegree,
             // The paper adds "small values" to the diagonal; its test
             // matrices additionally carry physical diagonal dominance
             // (ground conductance). A vanishing shift makes L⁻¹'s columns
@@ -107,20 +103,16 @@ impl SparsifyConfig {
             // Serial by default: scoring, resistances and SpMV stay on
             // the historical exact arithmetic path unless opted in.
             threads: Some(1),
-            // Factorization threads are a separate knob because the
-            // parallel numeric Cholesky is bit-identical at every count
-            // (unlike the chunk-rounded reductions behind `threads`),
-            // and because the partitioned driver parallelizes *across*
-            // partitions with `threads` while each partition can still
-            // factor in parallel *inside* its job with this knob.
-            factor_threads: Some(1),
-            // The scalar up-looking kernel is the historical default;
-            // `KernelVariant::Supernodal` opts into blocked panels.
-            kernel: KernelVariant::Scalar,
-            // No boosted refactorization by default: a failing pivot
-            // surfaces as a typed error unless the caller opts into the
-            // resilience ladder.
-            pivot_boost: None,
+            // MinDegree, the scalar kernel, one thread and no boost
+            // ladder: a failing pivot surfaces as a typed error unless
+            // the caller opts into the resilience ladder. Factorization
+            // threads are separate from `threads` because the parallel
+            // numeric Cholesky is bit-identical at every count (unlike
+            // the chunk-rounded reductions behind `threads`), and because
+            // the partitioned driver parallelizes *across* partitions
+            // with `threads` while each partition can still factor in
+            // parallel *inside* its job.
+            factor: FactorOptions::default(),
         }
     }
 
@@ -150,13 +142,13 @@ impl SparsifyConfig {
     /// so this knob changes `factor_time` only — sparsifier edge sets,
     /// scores, and solve results are unchanged at every setting.
     pub fn factor_threads(mut self, threads: Option<usize>) -> Self {
-        self.factor_threads = threads;
+        self.factor.threads = threads;
         self
     }
 
     /// The configured factorization thread knob (`None` = auto-detect).
     pub fn factor_threads_value(&self) -> Option<usize> {
-        self.factor_threads
+        self.factor.threads
     }
 
     /// Numeric Cholesky kernel for the per-iteration factorizations:
@@ -169,31 +161,39 @@ impl SparsifyConfig {
     /// two variants agree only up to rounding and must not share a
     /// cached factor.
     pub fn kernel(mut self, kernel: KernelVariant) -> Self {
-        self.kernel = kernel;
+        self.factor.kernel = kernel;
         self
     }
 
     /// The configured numeric kernel variant.
     pub fn kernel_value(&self) -> KernelVariant {
-        self.kernel
+        self.factor.kernel
     }
 
     /// Diagonal-boost retry ladder for the per-iteration subgraph
     /// factorizations: `None` (the default) surfaces a non-positive
     /// pivot as [`crate::CoreError::Sparse`]; `Some(schedule)` retries
-    /// through [`tracered_sparse::factorize_regularized_kernel`] and
-    /// records the applied shift in
+    /// through the ladder of [`FactorOptions::factorize`] and records
+    /// the applied shift in
     /// [`crate::IterationStats::applied_shift`]. The boost is applied to
     /// the factorization *input*, so factor bit-identity across thread
     /// counts is preserved.
     pub fn pivot_boost(mut self, schedule: Option<BoostSchedule>) -> Self {
-        self.pivot_boost = schedule;
+        self.factor.boost = schedule;
         self
     }
 
     /// The configured pivot-boost ladder (`None` = fail fast).
     pub fn pivot_boost_value(&self) -> Option<BoostSchedule> {
-        self.pivot_boost
+        self.factor.boost
+    }
+
+    /// The options of every factorization [`fn@crate::sparsify`] performs:
+    /// [`SparsifyConfig::ordering`], [`SparsifyConfig::kernel`],
+    /// [`SparsifyConfig::factor_threads`] and
+    /// [`SparsifyConfig::pivot_boost`] in one value.
+    pub fn factor_options(&self) -> &FactorOptions {
+        &self.factor
     }
 
     /// Number of Johnson–Lindenstrauss probes (full-graph solves) for the
@@ -253,7 +253,7 @@ impl SparsifyConfig {
 
     /// Fill-reducing ordering used for the per-iteration factorizations.
     pub fn ordering(mut self, ordering: Ordering) -> Self {
-        self.ordering = ordering;
+        self.factor.ordering = ordering;
         self
     }
 
@@ -340,7 +340,7 @@ impl SparsifyConfig {
 
     /// The configured factorization ordering.
     pub fn ordering_value(&self) -> Ordering {
-        self.ordering
+        self.factor.ordering
     }
 
     /// The configured shift policy.
@@ -399,17 +399,9 @@ impl SparsifyConfig {
                 what: "threads must be at least 1 (use None for auto-detect)".into(),
             });
         }
-        if self.factor_threads == Some(0) {
-            return Err(CoreError::InvalidConfig {
-                what: "factor_threads must be at least 1 (use None for auto-detect)".into(),
-            });
-        }
-        if let Some(boost) = &self.pivot_boost {
-            boost
-                .validate()
-                .map_err(|e| CoreError::InvalidConfig { what: format!("pivot_boost: {e}") })?;
-        }
-        Ok(())
+        self.factor
+            .validate()
+            .map_err(|e| CoreError::InvalidConfig { what: format!("factor options: {e}") })
     }
 
     /// A 64-bit fingerprint over every knob that can change the
@@ -422,79 +414,55 @@ impl SparsifyConfig {
     /// only in thread counts produce the same sparsifier and may share a
     /// cached factor.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(match self.method {
+        let mut h = Fnv64::default();
+        h.mix(match self.method {
             Method::TraceReduction => 0,
             Method::Grass => 1,
             Method::EffectiveResistance => 2,
             Method::JlResistance => 3,
         });
-        mix(self.edge_fraction.to_bits());
-        mix(self.iterations as u64);
-        mix(self.beta as u64);
-        mix(self.spai_threshold.to_bits());
-        mix(self.similarity_layers as u64);
-        mix(u64::from(self.use_similarity_exclusion));
+        h.mix(self.edge_fraction.to_bits());
+        h.mix(self.iterations as u64);
+        h.mix(self.beta as u64);
+        h.mix(self.spai_threshold.to_bits());
+        h.mix(self.similarity_layers as u64);
+        h.mix(u64::from(self.use_similarity_exclusion));
         // Every enum below is matched exhaustively ON PURPOSE: a wildcard
         // arm here once collapsed distinct variants onto one tag, and the
         // service factor cache keys on this fingerprint — two different
         // configs silently shared a cached factor. Adding a variant must
         // be a compile error at this site, never a silent collision.
-        mix(match self.tree_kind {
+        h.mix(match self.tree_kind {
             TreeKind::MaxEffectiveWeight => 0,
             TreeKind::MaxWeight => 1,
         });
-        mix(match self.ordering {
-            Ordering::Natural => 0,
-            Ordering::Rcm => 1,
-            Ordering::MinDegree => 2,
-            Ordering::NestedDissection => 3,
-        });
         match &self.shift {
-            ShiftPolicy::None => mix(0),
+            ShiftPolicy::None => h.mix(0),
             ShiftPolicy::Uniform(s) => {
-                mix(1);
-                mix(s.to_bits());
+                h.mix(1);
+                h.mix(s.to_bits());
             }
             ShiftPolicy::RelativeMeanDegree(f) => {
-                mix(2);
-                mix(f.to_bits());
+                h.mix(2);
+                h.mix(f.to_bits());
             }
             ShiftPolicy::PerNode(shifts) => {
-                mix(3);
-                mix(shifts.len() as u64);
+                h.mix(3);
+                h.mix(shifts.len() as u64);
                 for s in shifts {
-                    mix(s.to_bits());
+                    h.mix(s.to_bits());
                 }
             }
         }
-        mix(match self.kernel {
-            KernelVariant::Scalar => 0,
-            KernelVariant::Supernodal => 1,
-        });
-        mix(self.grass_power_steps as u64);
-        mix(self.grass_num_vectors as u64);
-        mix(self.jl_probes as u64);
-        mix(self.seed);
-        mix(u64::from(self.track_trace));
-        match &self.pivot_boost {
-            None => mix(0),
-            Some(b) => {
-                mix(1);
-                mix(b.initial_relative.to_bits());
-                mix(b.growth.to_bits());
-                mix(b.max_boosts as u64);
-            }
-        }
-        h
+        h.mix(self.grass_power_steps as u64);
+        h.mix(self.grass_num_vectors as u64);
+        h.mix(self.jl_probes as u64);
+        h.mix(self.seed);
+        h.mix(u64::from(self.track_trace));
+        // Ordering, kernel and boost ladder: one exhaustive fingerprint,
+        // owned by the options type.
+        h.mix(self.factor.fingerprint());
+        h.finish()
     }
 }
 

@@ -20,10 +20,7 @@ use tracered_graph::lca::tree_resistances_threads;
 use tracered_graph::mst::spanning_tree;
 use tracered_graph::{Graph, GraphError, RootedTree};
 use tracered_obs::Timer;
-use tracered_sparse::{
-    factorize_regularized_kernel, ApproxInverse, CholeskyFactor, CscMatrix, SpaiOptions,
-    SparseError,
-};
+use tracered_sparse::{ApproxInverse, CholeskyFactor, CscMatrix, RegularizedFactor, SpaiOptions};
 
 use crate::config::{Method, SparsifyConfig};
 use crate::criticality::{subgraph_phase_scores_threads, tree_phase_scores_threads};
@@ -76,6 +73,16 @@ pub struct IterationStats {
     /// A nonzero value means the iteration recovered from a pivot
     /// failure instead of erroring out.
     pub applied_shift: f64,
+}
+
+impl IterationStats {
+    /// Unwraps a factorization of this iteration, recording its shift
+    /// in [`IterationStats::applied_shift`] (the max over the
+    /// iteration's factorizations).
+    fn keep(&mut self, rf: RegularizedFactor) -> CholeskyFactor {
+        self.applied_shift = self.applied_shift.max(rf.applied_shift);
+        rf.factor
+    }
 }
 
 /// Summary of a sparsification run.
@@ -217,37 +224,6 @@ pub(crate) fn heaviest_node(g: &Graph) -> usize {
         .unwrap_or(0)
 }
 
-/// Factorizes a (subgraph) Laplacian through the configured resilience
-/// path: fail-fast without a [`SparsifyConfig::pivot_boost`] ladder,
-/// boosted retries with one. A boost that fires records its shift in
-/// `stats.applied_shift` (the max over the iteration's factorizations).
-fn factorize_resilient(
-    m: &CscMatrix,
-    cfg: &SparsifyConfig,
-    factor_threads: usize,
-    stats: &mut IterationStats,
-) -> Result<CholeskyFactor, SparseError> {
-    match cfg.pivot_boost_value() {
-        None => {
-            let perm = cfg.ordering_value().compute(m)?;
-            CholeskyFactor::factorize_with_perm_kernel(m, perm, cfg.kernel_value(), factor_threads)
-        }
-        Some(schedule) => {
-            let rf = factorize_regularized_kernel(
-                m,
-                cfg.ordering_value(),
-                cfg.kernel_value(),
-                factor_threads,
-                &schedule,
-            )?;
-            if rf.applied_shift > stats.applied_shift {
-                stats.applied_shift = rf.applied_shift;
-            }
-            Ok(rf.factor)
-        }
-    }
-}
-
 /// Runs graph spectral sparsification (paper Algorithm 2, or one of the
 /// baselines selected by [`SparsifyConfig::new`]).
 ///
@@ -336,7 +312,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
         };
         if cfg.track_trace_enabled() {
             let ls = subgraph_laplacian(g, &selected, &shifts);
-            if let Ok(factor) = factorize_resilient(&ls, cfg, factor_threads, &mut stats) {
+            if let Ok(factor) = cfg.factor_options().factorize(&ls).map(|rf| stats.keep(rf)) {
                 stats.trace_estimate = Some(crate::metrics::trace_proxy_hutchinson_threads(
                     &lg,
                     &factor,
@@ -355,7 +331,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
         let subgraph_factor = |stats: &mut IterationStats| {
             let t_factor = Timer::start("sparsify.factor");
             let ls = subgraph_laplacian(g, &selected, &shifts);
-            let factor = factorize_resilient(&ls, cfg, factor_threads, stats);
+            let factor = cfg.factor_options().factorize(&ls).map(|rf| stats.keep(rf));
             stats.factor_time = t_factor.stop();
             factor
         };
@@ -418,7 +394,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
                 // expense the paper's introduction calls out. Single-pass
                 // method: later iterations keep the full-graph ranking.
                 let t_factor = Timer::start("sparsify.factor");
-                let full_factor = factorize_resilient(&lg, cfg, factor_threads, &mut stats)?;
+                let full_factor = stats.keep(cfg.factor_options().factorize(&lg)?);
                 stats.factor_time = t_factor.stop();
                 crate::jl::jl_scores(
                     g,

@@ -24,9 +24,14 @@ use tracered_solver::precond::CholPreconditioner;
 use tracered_solver::{robust_solve, RobustSolveConfig, TerminationReason};
 use tracered_sparse::order::Ordering;
 use tracered_sparse::{
-    factorize_regularized_kernel, scan_non_finite, BoostSchedule, CholeskyFactor, CscMatrix,
-    KernelVariant, SparseError,
+    scan_non_finite, BoostSchedule, CholeskyFactor, CscMatrix, FactorOptions, SparseError,
 };
+
+/// The default factor options with the default boost ladder — what the
+/// resilient entry points run under in this suite.
+fn laddered() -> FactorOptions {
+    FactorOptions { boost: Some(BoostSchedule::default()), ..Default::default() }
+}
 
 /// A well-conditioned SPD test matrix: shifted 2-D grid Laplacian.
 fn healthy_matrix(side: usize) -> CscMatrix {
@@ -49,19 +54,10 @@ fn non_finite_matrix_yields_typed_error_not_panic() {
         other => panic!("expected NonFiniteValue, got {other:?}"),
     }
     // ...and every resilient entry point refuses the matrix up front.
-    assert!(matches!(
-        factorize_regularized_kernel(
-            &bad,
-            Ordering::MinDegree,
-            KernelVariant::Scalar,
-            1,
-            &BoostSchedule::default()
-        ),
-        Err(SparseError::NonFiniteValue { .. })
-    ));
+    assert!(matches!(laddered().factorize(&bad), Err(SparseError::NonFiniteValue { .. })));
     let b = vec![1.0; bad.ncols()];
     assert!(matches!(
-        robust_solve(&bad, &b, &a, &RobustSolveConfig::default()),
+        robust_solve(&bad, &b, &a, &laddered(), &RobustSolveConfig::default()),
         Err(SparseError::NonFiniteValue { .. })
     ));
 }
@@ -76,14 +72,7 @@ fn poisoned_pivot_recovers_through_the_boost_ladder() {
         Err(SparseError::NotPositiveDefinite { .. })
     ));
     // ...the regularized one recovers and reports the shift it needed.
-    let rf = factorize_regularized_kernel(
-        &bad,
-        Ordering::MinDegree,
-        KernelVariant::Scalar,
-        1,
-        &BoostSchedule::default(),
-    )
-    .expect("ladder must rescue a finite indefinite matrix");
+    let rf = laddered().factorize(&bad).expect("ladder must rescue a finite indefinite matrix");
     assert!(rf.applied_shift > 0.0, "recovery must report its shift");
     assert!(rf.attempts > 1);
     // The factor solves the boosted system accurately.
@@ -98,12 +87,13 @@ fn robust_solve_with_poisoned_preconditioner_matches_fault_free_accuracy() {
     let a = healthy_matrix(8);
     let b: Vec<f64> = (0..a.ncols()).map(|i| (i % 7) as f64 - 3.0).collect();
     let cfg = RobustSolveConfig::default();
-    let clean = robust_solve(&a, &b, &a, &cfg).expect("fault-free solve");
+    let clean = robust_solve(&a, &b, &a, &laddered(), &cfg).expect("fault-free solve");
     assert_eq!(clean.reason, TerminationReason::Converged);
     // Poison the preconditioner matrix: the chain must still converge,
     // with the recovery visible in the attempt log.
     let (bad_pre, _) = FaultPlan::new(303).poison_pivot(&a);
-    let sol = robust_solve(&a, &b, &bad_pre, &cfg).expect("escalation must absorb the fault");
+    let sol = robust_solve(&a, &b, &bad_pre, &laddered(), &cfg)
+        .expect("escalation must absorb the fault");
     assert_eq!(sol.reason, TerminationReason::Converged);
     assert!(
         sol.attempts.iter().any(|at| at.applied_shift > 0.0),
@@ -126,7 +116,7 @@ fn nan_rhs_is_classified_not_propagated() {
     assert_eq!(sol.reason, TerminationReason::NonFinite);
     // ...and the robust entry point rejects the input with a typed error
     // naming the bad entry.
-    match robust_solve(&a, &bad_b, &a, &RobustSolveConfig::default()) {
+    match robust_solve(&a, &bad_b, &a, &laddered(), &RobustSolveConfig::default()) {
         Err(SparseError::InvalidValue { what }) => {
             assert!(what.contains(&format!("index {idx}")), "got: {what}");
         }
@@ -226,7 +216,7 @@ fn fault_campaign_sweep_never_panics() {
     for seed in 0..12u64 {
         let mut plan = FaultPlan::new(seed);
         let (bad, _) = plan.corrupt_matrix_entries(&a, 1 + (seed as usize % 3));
-        match robust_solve(&bad, &b, &a, &RobustSolveConfig::default()) {
+        match robust_solve(&bad, &b, &a, &laddered(), &RobustSolveConfig::default()) {
             Ok(sol) => assert!(sol.rel_residual.is_finite()),
             Err(SparseError::NonFiniteValue { .. }) => {}
             Err(other) => panic!("seed {seed}: unexpected error {other:?}"),
@@ -234,13 +224,13 @@ fn fault_campaign_sweep_never_panics() {
         // A poisoned PRECONDITIONER on a healthy system must be absorbed
         // outright...
         let (bad_pre, _) = plan.poison_pivot(&a);
-        let sol = robust_solve(&a, &b, &bad_pre, &RobustSolveConfig::default())
+        let sol = robust_solve(&a, &b, &bad_pre, &laddered(), &RobustSolveConfig::default())
             .expect("healthy system with a broken preconditioner must solve");
         assert_eq!(sol.reason, TerminationReason::Converged, "seed {seed}");
         // ...while a genuinely indefinite SYSTEM ends in a classified,
         // finite-diagnostics outcome — never a panic, never a fake
         // convergence claim.
-        let sol = robust_solve(&bad_pre, &b, &bad_pre, &RobustSolveConfig::default())
+        let sol = robust_solve(&bad_pre, &b, &bad_pre, &laddered(), &RobustSolveConfig::default())
             .expect("classified outcome, not an abort");
         assert!(sol.rel_residual.is_finite(), "seed {seed}");
         assert!(!sol.attempts.is_empty());

@@ -2,8 +2,9 @@
 //! instruments, one self-contained object the bench binaries embed in
 //! their `BENCH_*.json` records.
 
+use crate::json::escape_json;
 use crate::registry::AnyInstrument;
-use crate::trace::{escape, num_json, Trace};
+use crate::trace::{num_json, Trace};
 
 /// Serializes `trace`'s per-path aggregates plus every globally
 /// registered instrument as one JSON object:
@@ -25,7 +26,7 @@ pub(crate) fn snapshot_json(trace: &Trace) -> String {
         }
         out.push_str(&format!(
             "{{\"path\":\"{}\",\"count\":{},\"total_s\":{},\"self_s\":{}}}",
-            escape(&a.path),
+            escape_json(&a.path),
             a.count,
             num_json(a.total.as_secs_f64()),
             num_json(a.self_time.as_secs_f64())
@@ -36,10 +37,12 @@ pub(crate) fn snapshot_json(trace: &Trace) -> String {
     let mut gauges = Vec::new();
     let mut histograms = Vec::new();
     crate::registry::for_each(|name, inst| match inst {
-        AnyInstrument::Counter(c) => counters.push(format!("\"{}\":{}", escape(name), c.get())),
+        AnyInstrument::Counter(c) => {
+            counters.push(format!("\"{}\":{}", escape_json(name), c.get()))
+        }
         AnyInstrument::Gauge(g) => gauges.push(format!(
             "\"{}\":{{\"value\":{},\"max\":{}}}",
-            escape(name),
+            escape_json(name),
             g.get(),
             g.max_seen()
         )),
@@ -48,7 +51,7 @@ pub(crate) fn snapshot_json(trace: &Trace) -> String {
             histograms.push(format!(
                 "\"{}\":{{\"count\":{},\"mean_s\":{},\"p50_s\":{},\"p90_s\":{},\
                  \"p99_s\":{},\"max_s\":{}}}",
-                escape(name),
+                escape_json(name),
                 s.count,
                 num_json(s.mean_s),
                 num_json(s.p50_s),

@@ -1,7 +1,9 @@
-//! A minimal JSON syntax checker.
+//! A minimal JSON syntax checker, and the string escaper every JSON
+//! writer in the workspace shares.
 //!
-//! Exporters in this crate emit JSON by string assembly; this validator
-//! is the independent witness that what they emit actually parses. It
+//! Exporters in this crate (and the bench record writer) emit JSON by
+//! string assembly through [`escape_json`]; the validator is the
+//! independent witness that what they emit actually parses. It
 //! checks syntax only (RFC 8259 grammar, including string escapes and
 //! number forms) — no values are materialized, so it is cheap enough
 //! for tests and CI smoke steps to run on multi-megabyte traces.
@@ -30,6 +32,32 @@ pub fn validate_json(s: &str) -> Result<(), String> {
         return Err(format!("trailing content at byte {pos}"));
     }
     Ok(())
+}
+
+/// Escapes `s` for embedding in a JSON string literal (without the
+/// surrounding quotes): `"`, `\` and control characters are escaped,
+/// everything else passes through.
+///
+/// ```
+/// use tracered_obs::{escape_json, validate_json};
+/// let lit = format!("\"{}\"", escape_json("a\"b\\c\n\u{1}"));
+/// assert_eq!(lit, r#""a\"b\\c\n\u0001""#);
+/// assert!(validate_json(&lit).is_ok());
+/// ```
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {

@@ -49,7 +49,7 @@ mod registry;
 mod trace;
 
 pub use instrument::{Counter, Gauge, Histogram, HistogramSummary, Watermark};
-pub use json::validate_json;
+pub use json::{escape_json, validate_json};
 pub use record::{
     enabled, instant_event, iter_events_enabled, recorder, set_enabled, set_iter_events, Recorder,
     SpanGuard, Timer,

@@ -4,6 +4,8 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use crate::json::escape_json;
+
 /// One completed span.
 #[derive(Debug, Clone)]
 pub struct SpanEvent {
@@ -183,7 +185,7 @@ impl Trace {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
                  \"ts\":{:.3},\"dur\":{:.3},\"args\":{}}}",
-                escape(s.name),
+                escape_json(s.name),
                 s.thread,
                 s.start_ns as f64 / 1e3,
                 s.dur_ns as f64 / 1e3,
@@ -195,7 +197,7 @@ impl Trace {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\
                  \"tid\":{},\"ts\":{:.3},\"args\":{}}}",
-                escape(e.name),
+                escape_json(e.name),
                 e.thread,
                 e.ts_ns as f64 / 1e3,
                 args_json(&e.args)
@@ -214,7 +216,7 @@ pub(crate) fn args_json(args: &[(&'static str, f64)]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("\"{}\":{}", escape(k), num_json(*v)));
+        out.push_str(&format!("\"{}\":{}", escape_json(k), num_json(*v)));
     }
     out.push('}');
     out
@@ -227,23 +229,6 @@ pub(crate) fn num_json(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Human-friendly duration: picks ns/µs/ms/s by magnitude.

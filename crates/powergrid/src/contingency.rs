@@ -35,8 +35,8 @@ use tracered_solver::precond::CholPreconditioner;
 use tracered_solver::{block_pcg, PcgOptions, TerminationReason};
 use tracered_sparse::order::Ordering;
 use tracered_sparse::{
-    factorize_regularized_kernel, BoostSchedule, CholeskyFactor, CscMatrix, KernelVariant,
-    MultiVec, SparseError,
+    BoostSchedule, CscMatrix, FactorOptions, KernelVariant, MultiVec, RegularizedFactor,
+    SparseError,
 };
 
 use crate::netlist::PowerGrid;
@@ -441,6 +441,23 @@ fn classify_solve(
     })
 }
 
+/// Every factorization of a sweep: MinDegree with the configured kernel
+/// and threads. Only the refactorization route (`laddered`) climbs the
+/// boost ladder; the base factors fail fast.
+fn factorize(
+    a: &CscMatrix,
+    cfg: &ContingencyConfig,
+    laddered: bool,
+) -> Result<RegularizedFactor, SparseError> {
+    FactorOptions {
+        ordering: Ordering::MinDegree,
+        kernel: cfg.kernel,
+        threads: Some(cfg.factor_threads),
+        boost: laddered.then_some(cfg.boost),
+    }
+    .factorize(a)
+}
+
 /// The regularized-refactorization route for one matrix outage: used as
 /// the batch path's fallback when the incremental update refuses the
 /// perturbation, and for every matrix outage of the refactor reference.
@@ -460,13 +477,7 @@ fn solve_by_refactor(
 ) -> Result<OutageOutcome, SparseError> {
     let gp = perturbed_matrix(g, u, v, dw);
     report.refactorizations += 1;
-    match factorize_regularized_kernel(
-        &gp,
-        Ordering::MinDegree,
-        cfg.kernel,
-        cfg.factor_threads,
-        &cfg.boost,
-    ) {
+    match factorize(&gp, cfg, true) {
         Ok(reg) => {
             let x = reg.factor.solve(rhs);
             let rel = gp.residual_inf_norm(&x, rhs) / rhs_inf;
@@ -560,12 +571,7 @@ pub fn simulate_contingency_batch(
         ..Default::default()
     };
     let t0 = Instant::now();
-    let mut factor = CholeskyFactor::factorize_with_perm_kernel(
-        &g,
-        Ordering::MinDegree.compute(&g)?,
-        cfg.kernel,
-        cfg.factor_threads.max(1),
-    )?;
+    let mut factor = factorize(&g, cfg, false)?.factor;
     report.base_factor_seconds = t0.elapsed().as_secs_f64();
 
     let sweep_t = Instant::now();
@@ -674,12 +680,7 @@ pub fn simulate_contingency_batch(
                     // Defensive only — the journal guarantees the
                     // inverse of the op just applied. Rebuild rather
                     // than continue on a perturbed factor.
-                    factor = CholeskyFactor::factorize_with_perm_kernel(
-                        &g,
-                        Ordering::MinDegree.compute(&g)?,
-                        cfg.kernel,
-                        cfg.factor_threads.max(1),
-                    )?;
+                    factor = factorize(&g, cfg, false)?.factor;
                 }
                 epoch += 1;
                 let event = OutageEvent { outage: i, epoch, used_fallback: false };
@@ -772,12 +773,7 @@ pub fn simulate_contingency_refactor(
     };
     let t0 = Instant::now();
     // The reference still needs one base factor for dw == 0 no-ops.
-    let base = CholeskyFactor::factorize_with_perm_kernel(
-        &g,
-        Ordering::MinDegree.compute(&g)?,
-        cfg.kernel,
-        cfg.factor_threads.max(1),
-    )?;
+    let base = factorize(&g, cfg, false)?.factor;
     report.base_factor_seconds = t0.elapsed().as_secs_f64();
 
     let sweep_t = Instant::now();
@@ -814,12 +810,7 @@ pub fn simulate_contingency_refactor(
                 // Refactor-per-outage: the reference pays a fresh
                 // factorization even for an unchanged matrix.
                 report.refactorizations += 1;
-                let f = CholeskyFactor::factorize_with_perm_kernel(
-                    &g,
-                    Ordering::MinDegree.compute(&g)?,
-                    cfg.kernel,
-                    cfg.factor_threads.max(1),
-                )?;
+                let f = factorize(&g, cfg, false)?.factor;
                 let mut b = rhs.clone();
                 b[node] -= extra;
                 let x = f.solve(&b);

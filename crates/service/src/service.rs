@@ -14,8 +14,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use tracered_solver::SolverContext;
-use tracered_sparse::order::Ordering;
-use tracered_sparse::{BoostSchedule, KernelVariant, SparseError};
+use tracered_sparse::{BoostSchedule, FactorOptions, SparseError};
 
 use crate::aggregator;
 use crate::context::{CacheKey, ContextSpec, EpochState, PublishedContext};
@@ -36,22 +35,15 @@ pub struct ServiceConfig {
     /// contract: responses are bit-identical to solo solves *at the same
     /// thread count*, so equivalence checks must hold this fixed.
     pub solver_threads: usize,
-    /// Worker threads for factorizations (context builds and the lazy
-    /// direct factor). Factorization is bit-identical at every count.
-    pub factor_threads: usize,
     /// Iteration cap for PCG requests.
     pub max_iterations: usize,
-    /// Diagonal-boost ladder for factorizations performed by the
-    /// service.
-    pub boost: BoostSchedule,
-    /// Fill-reducing ordering for factorizations performed by the
-    /// service (context builds and lazy direct factors).
-    pub ordering: Ordering,
-    /// Numeric Cholesky kernel for factorizations performed by the
-    /// service. Affects summation order, so callers publishing specs
-    /// must fold it into the config tag (as
+    /// Options of every factorization the service performs (context
+    /// builds and lazy direct factors). The default boosts with
+    /// [`BoostSchedule::default`]. Ordering, kernel and ladder change
+    /// the factor, so callers publishing specs must fold
+    /// [`FactorOptions::fingerprint`] into the config tag (as
     /// `SparsifyConfig::fingerprint` does) to keep cache slots distinct.
-    pub kernel: KernelVariant,
+    pub factor: FactorOptions,
 }
 
 impl Default for ServiceConfig {
@@ -60,11 +52,8 @@ impl Default for ServiceConfig {
             max_batch_width: 8,
             max_linger: Duration::from_micros(200),
             solver_threads: 1,
-            factor_threads: 1,
             max_iterations: 10_000,
-            boost: BoostSchedule::default(),
-            ordering: Ordering::MinDegree,
-            kernel: KernelVariant::Scalar,
+            factor: FactorOptions { boost: Some(BoostSchedule::default()), ..Default::default() },
         }
     }
 }
@@ -202,10 +191,7 @@ impl SolverService {
                 let built = SolverContext::build_with(
                     Arc::clone(&spec.system),
                     Arc::clone(&spec.precond_matrix),
-                    &self.cfg.boost,
-                    self.cfg.factor_threads,
-                    self.cfg.ordering,
-                    self.cfg.kernel,
+                    &self.cfg.factor,
                 )
                 .map(Arc::new)
                 .map_err(ServiceError::Solver)?;

@@ -30,7 +30,7 @@
 
 use tracered_sparse::{par_dot, par_xpby, CscMatrix, MultiVec};
 
-use crate::pcg::PcgOptions;
+use crate::pcg::{dot, matrix_scale, PcgOptions};
 use crate::precond::Preconditioner;
 use crate::termination::{TerminationReason, STAGNATION_WINDOW};
 
@@ -409,15 +409,6 @@ pub fn block_pcg_with_guess<P: Preconditioner>(
         g.arg("converged_cols", converged.iter().filter(|&&c| c).count() as f64);
     }
     BlockPcgSolution { x, iterations, rel_residual, converged, reasons, sweeps }
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
-/// Largest absolute stored value, the scale for the debug symmetry check.
-fn matrix_scale(a: &CscMatrix) -> f64 {
-    a.values().iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(f64::MIN_POSITIVE)
 }
 
 #[cfg(test)]

@@ -23,9 +23,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use tracered_sparse::order::Ordering;
-use tracered_sparse::regularize::{factorize_regularized_kernel, scan_non_finite};
-use tracered_sparse::{BoostSchedule, CholeskyFactor, CscMatrix, KernelVariant, SparseError};
+use tracered_sparse::regularize::scan_non_finite;
+use tracered_sparse::{CholeskyFactor, CscMatrix, FactorOptions, SparseError};
 
 use crate::precond::{CholPreconditioner, Preconditioner};
 use crate::robust::{robust_core, RobustSolution, RobustSolveConfig};
@@ -46,21 +45,13 @@ use crate::robust::{robust_core, RobustSolution, RobustSolveConfig};
 /// use tracered_graph::laplacian::laplacian_with_shifts;
 /// use tracered_solver::context::{robust_solve_shared, SolverContext};
 /// use tracered_solver::RobustSolveConfig;
-/// use tracered_sparse::order::Ordering;
-/// use tracered_sparse::{BoostSchedule, KernelVariant};
+/// use tracered_sparse::{BoostSchedule, FactorOptions};
 ///
 /// # fn main() -> Result<(), tracered_sparse::SparseError> {
 /// let g = grid2d(8, 8, WeightProfile::Unit, 3);
 /// let a = Arc::new(laplacian_with_shifts(&g, &vec![0.05; 64]));
-/// let boost = BoostSchedule::default();
-/// let ctx = SolverContext::build_with(
-///     Arc::clone(&a),
-///     a,
-///     &boost,
-///     1,
-///     Ordering::MinDegree,
-///     KernelVariant::Scalar,
-/// )?;
+/// let factor = FactorOptions { boost: Some(BoostSchedule::default()), ..Default::default() };
+/// let ctx = SolverContext::build_with(Arc::clone(&a), a, &factor)?;
 /// // The factorization above is paid once; every request reuses it.
 /// let cfg = RobustSolveConfig::default();
 /// for seed in 0..3u64 {
@@ -76,10 +67,7 @@ pub struct SolverContext {
     precond_matrix: Arc<CscMatrix>,
     preconditioner: Arc<CholPreconditioner>,
     applied_shift: f64,
-    boost: BoostSchedule,
-    factor_threads: usize,
-    ordering: Ordering,
-    kernel: KernelVariant,
+    factor: FactorOptions,
     /// Direct factorization of the system matrix, built on first use by
     /// [`SolverContext::direct_factor`] and shared afterwards.
     direct: Arc<OnceLock<Result<Arc<CholeskyFactor>, SparseError>>>,
@@ -93,30 +81,27 @@ const _: () = {
 };
 
 impl SolverContext {
-    /// Builds a context by factorizing `precond_matrix` through the
-    /// boosted ladder of [`tracered_sparse::regularize`] — the same
-    /// factorization `robust_solve`'s stage 1 would perform per call,
-    /// paid once here. The fill-reducing `ordering` and numeric `kernel`
-    /// are used for the preconditioner factorization here *and*
-    /// remembered for the lazy [`SolverContext::direct_factor`].
+    /// Builds a context by factorizing `precond_matrix` with `factor` —
+    /// the same factorization `robust_solve`'s stage 1 would perform per
+    /// call, paid once here. The options are remembered for every later
+    /// factorization through this context: the lazy
+    /// [`SolverContext::direct_factor`] and the escalation stages of
+    /// [`robust_solve_shared`].
     ///
     /// # Errors
     ///
     /// - [`SparseError::NotSquare`] / [`SparseError::DimensionMismatch`]
     ///   on shape mismatches;
     /// - [`SparseError::NonFiniteValue`] for NaN/Inf matrix entries,
-    ///   [`SparseError::InvalidValue`] for an invalid ladder;
-    /// - the factorization error when every rung of the ladder fails on
-    ///   the preconditioner matrix (unlike `robust_solve`, a context
-    ///   build is strict: a service must not publish a context whose
-    ///   preconditioner does not exist).
+    ///   [`SparseError::InvalidValue`] for invalid options;
+    /// - the factorization error when the preconditioner matrix does not
+    ///   factor, with a ladder when every rung fails (unlike
+    ///   `robust_solve`, a context build is strict: a service must not
+    ///   publish a context whose preconditioner does not exist).
     pub fn build_with(
         system: Arc<CscMatrix>,
         precond_matrix: Arc<CscMatrix>,
-        boost: &BoostSchedule,
-        factor_threads: usize,
-        ordering: Ordering,
-        kernel: KernelVariant,
+        factor: &FactorOptions,
     ) -> Result<Self, SparseError> {
         let n = system.ncols();
         if system.nrows() != n {
@@ -128,20 +113,16 @@ impl SolverContext {
                 found: precond_matrix.ncols(),
             });
         }
-        boost.validate()?;
+        factor.validate()?;
         scan_non_finite(&system)?;
         scan_non_finite(&precond_matrix)?;
-        let ft = factor_threads.max(1);
-        let rf = factorize_regularized_kernel(&precond_matrix, ordering, kernel, ft, boost)?;
+        let rf = factor.factorize(&precond_matrix)?;
         Ok(SolverContext {
             system,
             precond_matrix,
             preconditioner: Arc::new(CholPreconditioner::from_factor(rf.factor)),
             applied_shift: rf.applied_shift,
-            boost: *boost,
-            factor_threads: ft,
-            ordering,
-            kernel,
+            factor: *factor,
             direct: Arc::new(OnceLock::new()),
         })
     }
@@ -185,27 +166,14 @@ impl SolverContext {
         self.applied_shift
     }
 
-    /// The boost ladder used for escalation-stage factorizations.
-    pub fn boost(&self) -> &BoostSchedule {
-        &self.boost
+    /// The options of every factorization through this context: the
+    /// preconditioner, the lazy direct factor and the escalation stages
+    /// of [`robust_solve_shared`].
+    pub fn factor_options(&self) -> &FactorOptions {
+        &self.factor
     }
 
-    /// Worker threads for factorizations performed through this context.
-    pub fn factor_threads(&self) -> usize {
-        self.factor_threads
-    }
-
-    /// Fill-reducing ordering for factorizations through this context.
-    pub fn ordering(&self) -> Ordering {
-        self.ordering
-    }
-
-    /// Numeric Cholesky kernel for factorizations through this context.
-    pub fn kernel(&self) -> KernelVariant {
-        self.kernel
-    }
-
-    /// A direct (boosted) factorization of the *system* matrix, built on
+    /// A direct factorization of the *system* matrix, built on
     /// first call and memoized — the multi-RHS direct engine of the
     /// service layer. Concurrent first calls may race to factorize; one
     /// result wins and the rest are dropped, so the cached factor is
@@ -213,20 +181,12 @@ impl SolverContext {
     ///
     /// # Errors
     ///
-    /// The factorization error when every rung of the ladder fails on the
-    /// system matrix; the failure is memoized like a success.
+    /// The factorization error when the system matrix does not factor
+    /// under [`SolverContext::factor_options`]; the failure is memoized
+    /// like a success.
     pub fn direct_factor(&self) -> Result<Arc<CholeskyFactor>, SparseError> {
         self.direct
-            .get_or_init(|| {
-                factorize_regularized_kernel(
-                    &self.system,
-                    self.ordering,
-                    self.kernel,
-                    self.factor_threads,
-                    &self.boost,
-                )
-                .map(|rf| Arc::new(rf.factor))
-            })
+            .get_or_init(|| self.factor.factorize(&self.system).map(|rf| Arc::new(rf.factor)))
             .clone()
     }
 
@@ -247,15 +207,16 @@ impl SolverContext {
 /// [`crate::robust::robust_solve`] against a prebuilt [`SolverContext`]:
 /// identical escalation chain and arithmetic, but stage 1 reuses the
 /// context's factorized preconditioner instead of refactorizing the
-/// preconditioner matrix per call. This is the entry point the service
+/// preconditioner matrix per call, and stages 2–3 factorize with
+/// [`SolverContext::factor_options`]. This is the entry point the service
 /// layer drives — under request aggregation the stage-1 factorization
 /// would otherwise dominate every solve.
 ///
 /// # Errors
 ///
 /// [`SparseError::DimensionMismatch`] / [`SparseError::InvalidValue`] for
-/// a malformed right-hand side or ladder, plus the direct stage's
-/// factorization error when the entire ladder fails on the system matrix.
+/// a malformed right-hand side, plus the direct stage's factorization
+/// error when the system matrix does not factor.
 pub fn robust_solve_shared(
     ctx: &SolverContext,
     b: &[f64],
@@ -265,7 +226,6 @@ pub fn robust_solve_shared(
     if b.len() != n {
         return Err(SparseError::DimensionMismatch { expected: n, found: b.len() });
     }
-    cfg.boost.validate()?;
     if let Some(i) = b.iter().position(|v| !v.is_finite()) {
         return Err(SparseError::InvalidValue {
             what: format!("non-finite right-hand side entry at index {i}"),
@@ -276,6 +236,7 @@ pub fn robust_solve_shared(
         ctx.precond_matrix(),
         Some((ctx.preconditioner(), ctx.applied_shift())),
         b,
+        ctx.factor_options(),
         cfg,
     )
 }
@@ -284,9 +245,12 @@ pub fn robust_solve_shared(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::robust::robust_solve;
+    use crate::pcg::PcgOptions;
+    use crate::robust::{robust_solve, SolveStrategy};
     use tracered_graph::gen::{grid2d, WeightProfile};
     use tracered_graph::laplacian::laplacian_with_shifts;
+    use tracered_sparse::order::Ordering;
+    use tracered_sparse::{BoostSchedule, KernelVariant};
 
     fn system() -> (Arc<CscMatrix>, Arc<CscMatrix>, Vec<f64>) {
         let g = grid2d(10, 10, WeightProfile::Unit, 2);
@@ -296,21 +260,18 @@ mod tests {
         (a, m, b)
     }
 
+    /// The default factor options with the default boost ladder.
+    fn laddered() -> FactorOptions {
+        FactorOptions { boost: Some(BoostSchedule::default()), ..Default::default() }
+    }
+
     #[test]
     fn shared_solve_matches_by_value_solve_bitwise() {
         let (a, m, b) = system();
         let cfg = RobustSolveConfig::default();
-        let ctx = SolverContext::build_with(
-            Arc::clone(&a),
-            Arc::clone(&m),
-            &cfg.boost,
-            1,
-            Ordering::MinDegree,
-            KernelVariant::Scalar,
-        )
-        .unwrap();
+        let ctx = SolverContext::build_with(Arc::clone(&a), Arc::clone(&m), &laddered()).unwrap();
         let shared = robust_solve_shared(&ctx, &b, &cfg).unwrap();
-        let owned = robust_solve(&a, &b, &m, &cfg).unwrap();
+        let owned = robust_solve(&a, &b, &m, &laddered(), &cfg).unwrap();
         assert_eq!(shared.strategy, owned.strategy);
         assert_eq!(shared.reason, owned.reason);
         assert_eq!(shared.attempts.len(), owned.attempts.len());
@@ -319,19 +280,49 @@ mod tests {
         }
     }
 
+    /// Every stage of the shared chain factorizes with the context's
+    /// options: forced to the direct stage under non-default options,
+    /// it matches the by-value chain with the same options bit for bit.
+    #[test]
+    fn escalated_shared_solve_uses_the_context_options() {
+        let (a, _, b) = system();
+        // A Jacobi-grade preconditioner and a 1-iteration cap force the
+        // chain through stage 2 to the direct stage.
+        let m = {
+            let mut coo = tracered_sparse::CooMatrix::new(a.nrows(), a.ncols());
+            for (i, &d) in a.diagonal().iter().enumerate() {
+                coo.push(i, i, d).unwrap();
+            }
+            Arc::new(coo.to_csc())
+        };
+        let factor = FactorOptions {
+            ordering: Ordering::NestedDissection,
+            kernel: KernelVariant::Supernodal,
+            threads: Some(1),
+            boost: Some(BoostSchedule { initial_relative: 1e-8, growth: 10.0, max_boosts: 4 }),
+        };
+        let cfg = RobustSolveConfig {
+            pcg: PcgOptions { rel_tolerance: 1e-12, max_iterations: 1, ..Default::default() },
+            ..Default::default()
+        };
+        let ctx = SolverContext::build_with(Arc::clone(&a), Arc::clone(&m), &factor).unwrap();
+        assert_eq!(ctx.factor_options(), &factor);
+        let shared = robust_solve_shared(&ctx, &b, &cfg).unwrap();
+        let owned = robust_solve(&a, &b, &m, &factor, &cfg).unwrap();
+        assert_eq!(shared.strategy, SolveStrategy::Direct);
+        assert_eq!(shared.attempts, owned.attempts);
+        assert_eq!(shared.rel_residual.to_bits(), owned.rel_residual.to_bits());
+        assert!(shared.x.iter().zip(&owned.x).all(|(s, o)| s.to_bits() == o.to_bits()));
+        // The default-option chain takes a different summation order.
+        let default_chain = robust_solve(&a, &b, &m, &laddered(), &cfg).unwrap();
+        assert!(shared.x.iter().zip(&default_chain.x).any(|(s, d)| s.to_bits() != d.to_bits()));
+    }
+
     #[test]
     fn context_reuse_shares_one_factorization() {
         let (a, m, b) = system();
         let cfg = RobustSolveConfig::default();
-        let ctx = SolverContext::build_with(
-            a,
-            m,
-            &cfg.boost,
-            1,
-            Ordering::MinDegree,
-            KernelVariant::Scalar,
-        )
-        .unwrap();
+        let ctx = SolverContext::build_with(a, m, &laddered()).unwrap();
         let pre_before = Arc::as_ptr(&ctx.preconditioner_shared());
         for _ in 0..3 {
             assert!(robust_solve_shared(&ctx, &b, &cfg).unwrap().converged());
@@ -343,15 +334,7 @@ mod tests {
     #[test]
     fn direct_factor_is_memoized_and_solves() {
         let (a, m, b) = system();
-        let ctx = SolverContext::build_with(
-            Arc::clone(&a),
-            m,
-            &BoostSchedule::default(),
-            1,
-            Ordering::MinDegree,
-            KernelVariant::Scalar,
-        )
-        .unwrap();
+        let ctx = SolverContext::build_with(Arc::clone(&a), m, &laddered()).unwrap();
         let f1 = ctx.direct_factor().unwrap();
         let f2 = ctx.direct_factor().unwrap();
         assert_eq!(Arc::as_ptr(&f1), Arc::as_ptr(&f2), "second call must hit the memo");
@@ -365,27 +348,13 @@ mod tests {
         let g = grid2d(3, 3, WeightProfile::Unit, 1);
         let small = Arc::new(laplacian_with_shifts(&g, &[0.1; 9]));
         assert!(matches!(
-            SolverContext::build_with(
-                Arc::clone(&a),
-                small,
-                &BoostSchedule::default(),
-                1,
-                Ordering::MinDegree,
-                KernelVariant::Scalar
-            ),
+            SolverContext::build_with(Arc::clone(&a), small, &laddered()),
             Err(SparseError::DimensionMismatch { .. })
         ));
         let mut bad = (*a).clone();
         bad.values_mut()[0] = f64::NAN;
         assert!(matches!(
-            SolverContext::build_with(
-                Arc::new(bad),
-                a,
-                &BoostSchedule::default(),
-                1,
-                Ordering::MinDegree,
-                KernelVariant::Scalar
-            ),
+            SolverContext::build_with(Arc::new(bad), a, &laddered()),
             Err(SparseError::NonFiniteValue { .. })
         ));
     }
@@ -394,15 +363,7 @@ mod tests {
     fn shared_solve_validates_rhs() {
         let (a, m, b) = system();
         let cfg = RobustSolveConfig::default();
-        let ctx = SolverContext::build_with(
-            a,
-            m,
-            &cfg.boost,
-            1,
-            Ordering::MinDegree,
-            KernelVariant::Scalar,
-        )
-        .unwrap();
+        let ctx = SolverContext::build_with(a, m, &laddered()).unwrap();
         assert!(matches!(
             robust_solve_shared(&ctx, &b[..50], &cfg),
             Err(SparseError::DimensionMismatch { .. })

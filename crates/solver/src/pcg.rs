@@ -246,18 +246,20 @@ pub fn pcg_with_guess<P: Preconditioner>(
     PcgSolution { x, iterations, rel_residual: rel, converged, reason }
 }
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
+/// Serial dot product in fixed left-to-right order.
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
 /// Largest absolute stored value — the natural scale for the relative
-/// symmetry tolerance in the debug-build check above.
-fn matrix_scale(a: &CscMatrix) -> f64 {
+/// symmetry tolerance in the debug-build symmetry checks of the PCG
+/// solvers.
+pub(crate) fn matrix_scale(a: &CscMatrix) -> f64 {
     a.values().iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(f64::MIN_POSITIVE)
 }
 
-#[cfg(test)]
-fn norm2(v: &[f64]) -> f64 {
+/// Euclidean norm through [`dot`].
+pub(crate) fn norm2(v: &[f64]) -> f64 {
     dot(v, v).sqrt()
 }
 

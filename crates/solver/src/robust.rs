@@ -7,40 +7,28 @@
 //! configurable chain ([`RobustSolveConfig`]), and reports every attempt
 //! it made ([`SolveAttempt`]) so a failed solve is a diagnosis, not a
 //! shrug. Inputs are validated up front (non-finite scan on matrix and
-//! right-hand side) and preconditioner factorizations go through the
-//! boosted ladder of [`tracered_sparse::regularize`], so a singular
+//! right-hand side) and every factorization in the chain goes through
+//! the caller's [`FactorOptions`]; with a boost ladder there, a singular
 //! sparsifier Laplacian degrades into a shifted preconditioner rather
 //! than an error.
 
 #![warn(clippy::unwrap_used)]
 
-use tracered_sparse::order::Ordering;
-use tracered_sparse::regularize::{
-    factorize_regularized_kernel, scan_non_finite, BoostSchedule, RegularizedFactor,
-};
-use tracered_sparse::{CscMatrix, KernelVariant, SparseError};
+use tracered_sparse::regularize::{diagonal_scale, scan_non_finite, RegularizedFactor};
+use tracered_sparse::{CscMatrix, FactorOptions, SparseError};
 
-use crate::pcg::{pcg_with_guess, PcgOptions, PcgSolution};
+use crate::pcg::{norm2, pcg_with_guess, PcgOptions, PcgSolution};
 use crate::precond::CholPreconditioner;
 use crate::termination::TerminationReason;
 
-/// Configuration for [`robust_solve`]'s escalation chain.
+/// Configuration for [`robust_solve`]'s escalation chain. How the chain
+/// factorizes (ordering, kernel, threads, boost ladder) is not part of
+/// it: every factorization in the chain takes the caller's
+/// [`FactorOptions`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustSolveConfig {
     /// Options for the iterative stages.
     pub pcg: PcgOptions,
-    /// Shift ladder used whenever a factorization (preconditioner or
-    /// direct) hits a non-positive pivot.
-    pub boost: BoostSchedule,
-    /// Worker threads for factorizations (independent of `pcg.threads`).
-    pub factor_threads: usize,
-    /// Fill-reducing ordering used by **every** factorization in the
-    /// chain (stage-1/2 preconditioners and the stage-3 direct factor).
-    /// Earlier revisions hardcoded [`Ordering::MinDegree`] here, silently
-    /// ignoring the caller's configured ordering on escalation.
-    pub ordering: Ordering,
-    /// Numeric Cholesky kernel used by every factorization in the chain.
-    pub kernel: KernelVariant,
     /// Enable stage 2: retry PCG with a harder-boosted preconditioner,
     /// warm-started from the best stage-1 iterate.
     pub refresh_preconditioner: bool,
@@ -53,10 +41,6 @@ impl Default for RobustSolveConfig {
     fn default() -> Self {
         RobustSolveConfig {
             pcg: PcgOptions::default(),
-            boost: BoostSchedule::default(),
-            factor_threads: 1,
-            ordering: Ordering::MinDegree,
-            kernel: KernelVariant::Scalar,
             refresh_preconditioner: true,
             allow_direct: true,
         }
@@ -114,10 +98,6 @@ impl RobustSolution {
     }
 }
 
-fn norm2(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 /// Relative residual `‖b − Ax‖₂ / ‖b‖₂` against the original system.
 fn true_rel_residual(a: &CscMatrix, x: &[f64], b: &[f64]) -> f64 {
     let bnorm = norm2(b);
@@ -153,9 +133,14 @@ fn attempt_of(strategy: SolveStrategy, sol: &PcgSolution, shift: f64) -> SolveAt
 }
 
 /// Solves `A x = b` with escalating robustness: PCG preconditioned by a
-/// boosted factorization of `precond_matrix`, then (on failure) PCG with
-/// a harder-boosted refreshed preconditioner warm-started from the best
-/// iterate, then a boosted direct factorization of `A` itself.
+/// factorization of `precond_matrix`, then (on failure) PCG with a
+/// harder-boosted refreshed preconditioner warm-started from the best
+/// iterate, then a direct factorization of `A` itself.
+///
+/// Every factorization uses `factor`: its ordering, kernel and threads,
+/// and its boost ladder on a pivot failure. Without a ladder each
+/// factorization fails fast; stage 2 then sizes its bump by the first
+/// rung of [`tracered_sparse::BoostSchedule::default`].
 ///
 /// Unlike [`crate::pcg::pcg`], a non-converged iterative stage is not the
 /// end: it is classified, recorded in the attempt trail, and escalated.
@@ -166,12 +151,13 @@ fn attempt_of(strategy: SolveStrategy, sol: &PcgSolution, shift: f64) -> SolveAt
 /// # Example
 ///
 /// A singular preconditioner matrix (an unshifted Laplacian) would make
-/// [`CholPreconditioner::from_matrix`] fail outright; `robust_solve`
-/// boosts it and converges anyway, reporting the shift it applied:
+/// [`CholPreconditioner::from_matrix`] fail outright; with a boost ladder
+/// `robust_solve` boosts it and converges anyway, reporting the shift it
+/// applied:
 ///
 /// ```
 /// use tracered_solver::robust::{robust_solve, RobustSolveConfig};
-/// use tracered_sparse::CooMatrix;
+/// use tracered_sparse::{BoostSchedule, CooMatrix, FactorOptions};
 ///
 /// # fn main() -> Result<(), tracered_sparse::SparseError> {
 /// // SPD system: shifted path Laplacian.
@@ -187,7 +173,8 @@ fn attempt_of(strategy: SolveStrategy, sol: &PcgSolution, shift: f64) -> SolveAt
 /// pm.push_symmetric(1, 2, -1.0)?;
 /// let m = pm.to_csc();
 ///
-/// let sol = robust_solve(&a, &[1.0, 0.0, -1.0], &m, &RobustSolveConfig::default())?;
+/// let factor = FactorOptions { boost: Some(BoostSchedule::default()), ..Default::default() };
+/// let sol = robust_solve(&a, &[1.0, 0.0, -1.0], &m, &factor, &RobustSolveConfig::default())?;
 /// assert!(sol.converged());
 /// assert!(sol.attempts[0].applied_shift > 0.0, "the boost must be reported");
 /// # Ok(())
@@ -200,13 +187,14 @@ fn attempt_of(strategy: SolveStrategy, sol: &PcgSolution, shift: f64) -> SolveAt
 ///   shape mismatches;
 /// - [`SparseError::NonFiniteValue`] for NaN/Inf entries in `a` or
 ///   `precond_matrix`, [`SparseError::InvalidValue`] for a non-finite
-///   right-hand side or an invalid [`BoostSchedule`];
-/// - the direct stage's factorization error when every rung of the
-///   ladder fails on the system matrix itself.
+///   right-hand side or invalid [`FactorOptions`];
+/// - the direct stage's factorization error when the system matrix
+///   itself does not factor (with a ladder: when every rung fails).
 pub fn robust_solve(
     a: &CscMatrix,
     b: &[f64],
     precond_matrix: &CscMatrix,
+    factor: &FactorOptions,
     cfg: &RobustSolveConfig,
 ) -> Result<RobustSolution, SparseError> {
     let n = a.ncols();
@@ -219,7 +207,7 @@ pub fn robust_solve(
     if precond_matrix.nrows() != n || precond_matrix.ncols() != n {
         return Err(SparseError::DimensionMismatch { expected: n, found: precond_matrix.ncols() });
     }
-    cfg.boost.validate()?;
+    factor.validate()?;
     scan_non_finite(a)?;
     scan_non_finite(precond_matrix)?;
     if let Some(i) = b.iter().position(|v| !v.is_finite()) {
@@ -227,18 +215,17 @@ pub fn robust_solve(
             what: format!("non-finite right-hand side entry at index {i}"),
         });
     }
-    let ft = cfg.factor_threads.max(1);
 
     // Stage-1 factorization of the caller's preconditioner matrix. An
     // unfactorizable preconditioner is not fatal — the chain continues
     // without it. Callers holding a `SolverContext` skip this per-call
     // cost entirely via `robust_solve_shared`.
-    let stage1_factor =
-        factorize_regularized_kernel(precond_matrix, cfg.ordering, cfg.kernel, ft, &cfg.boost);
-    let stage1 = stage1_factor.ok().map(|RegularizedFactor { factor, applied_shift, .. }| {
-        (CholPreconditioner::from_factor(factor), applied_shift)
-    });
-    robust_core(a, precond_matrix, stage1.as_ref().map(|(p, s)| (p, *s)), b, cfg)
+    let stage1 = factor.factorize(precond_matrix).ok().map(
+        |RegularizedFactor { factor, applied_shift, .. }| {
+            (CholPreconditioner::from_factor(factor), applied_shift)
+        },
+    );
+    robust_core(a, precond_matrix, stage1.as_ref().map(|(p, s)| (p, *s)), b, factor, cfg)
 }
 
 /// The escalation chain shared by [`robust_solve`] (which factorizes the
@@ -246,16 +233,17 @@ pub fn robust_solve(
 /// [`crate::context::robust_solve_shared`] (which reuses a prebuilt
 /// [`crate::context::SolverContext`]). Inputs are assumed validated;
 /// `stage1` carries the factorized preconditioner and its applied shift,
-/// or `None` when no preconditioner could be built.
+/// or `None` when no preconditioner could be built. Stages 2 and 3
+/// factorize with `factor`, the options stage 1 was built with.
 pub(crate) fn robust_core(
     a: &CscMatrix,
     precond_matrix: &CscMatrix,
     stage1: Option<(&CholPreconditioner, f64)>,
     b: &[f64],
+    factor: &FactorOptions,
     cfg: &RobustSolveConfig,
 ) -> Result<RobustSolution, SparseError> {
     let n = a.ncols();
-    let ft = cfg.factor_threads.max(1);
     let tol = cfg.pcg.rel_tolerance;
     let mut attempts: Vec<SolveAttempt> = Vec::new();
 
@@ -284,17 +272,16 @@ pub(crate) fn robust_core(
     // would fail identically.
     if cfg.refresh_preconditioner {
         if let Some(guess) = best_x.as_deref() {
+            let ladder = factor.boost.unwrap_or_default();
             let bump = if stage1_shift > 0.0 {
-                stage1_shift * cfg.boost.growth
+                stage1_shift * ladder.growth
             } else {
-                cfg.boost.shift_at(0, diagonal_scale(precond_matrix))
+                ladder.shift_at(0, diagonal_scale(precond_matrix))
             };
             let bumped = precond_matrix.add_diagonal(&vec![bump; n])?;
-            if let Ok(RegularizedFactor { factor, applied_shift, .. }) =
-                factorize_regularized_kernel(&bumped, cfg.ordering, cfg.kernel, ft, &cfg.boost)
-            {
-                let total_shift = bump + applied_shift;
-                let pre = CholPreconditioner::from_factor(factor);
+            if let Ok(rf) = factor.factorize(&bumped) {
+                let total_shift = bump + rf.applied_shift;
+                let pre = CholPreconditioner::from_factor(rf.factor);
                 let sol = pcg_with_guess(a, b, Some(guess), &pre, &cfg.pcg);
                 attempts.push(attempt_of(SolveStrategy::RefreshedPcg, &sol, total_shift));
                 if sol.converged {
@@ -311,12 +298,12 @@ pub(crate) fn robust_core(
         }
     }
 
-    // Stage 3: boosted direct factorization of the system matrix. The
+    // Stage 3: direct factorization of the system matrix. The
     // residual is measured against the *original* matrix, so a shifted
     // factorization of a genuinely singular system honestly reports the
     // perturbation error instead of claiming convergence.
     if cfg.allow_direct {
-        let rf = factorize_regularized_kernel(a, cfg.ordering, cfg.kernel, ft, &cfg.boost)?;
+        let rf = factor.factorize(a)?;
         let x = rf.factor.solve(b);
         let rel = true_rel_residual(a, &x, b);
         let reason = classify_residual(rel, tol);
@@ -348,26 +335,20 @@ pub(crate) fn robust_core(
     Ok(RobustSolution { x, strategy, rel_residual: rel, reason, attempts })
 }
 
-/// Mean absolute diagonal — mirrors the scale used by the boost ladder.
-fn diagonal_scale(a: &CscMatrix) -> f64 {
-    let d = a.diagonal();
-    if d.is_empty() {
-        return 1.0;
-    }
-    let mean = d.iter().map(|v| v.abs()).sum::<f64>() / d.len() as f64;
-    if mean.is_finite() && mean > 0.0 {
-        mean
-    } else {
-        1.0
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use tracered_graph::gen::{grid2d, WeightProfile};
     use tracered_graph::laplacian::{laplacian, laplacian_with_shifts, ShiftPolicy};
+
+    /// The default factor options with the default boost ladder.
+    fn laddered() -> FactorOptions {
+        FactorOptions {
+            boost: Some(tracered_sparse::BoostSchedule::default()),
+            ..Default::default()
+        }
+    }
 
     fn system() -> (CscMatrix, CscMatrix, Vec<f64>) {
         let g = grid2d(10, 10, WeightProfile::Unit, 2);
@@ -390,7 +371,7 @@ mod tests {
     #[test]
     fn healthy_system_stops_at_stage_one() {
         let (a, m, b) = system();
-        let sol = robust_solve(&a, &b, &m, &RobustSolveConfig::default()).unwrap();
+        let sol = robust_solve(&a, &b, &m, &laddered(), &RobustSolveConfig::default()).unwrap();
         assert!(sol.converged());
         assert_eq!(sol.strategy, SolveStrategy::Pcg);
         assert_eq!(sol.attempts.len(), 1);
@@ -404,7 +385,7 @@ mod tests {
         let a = laplacian_with_shifts(&g, &vec![0.05; 100]);
         let m = laplacian(&g, ShiftPolicy::None).unwrap(); // unshifted: singular
         let b: Vec<f64> = (0..100).map(|i| ((i * 13 % 11) as f64) - 5.0).collect();
-        let sol = robust_solve(&a, &b, &m, &RobustSolveConfig::default()).unwrap();
+        let sol = robust_solve(&a, &b, &m, &laddered(), &RobustSolveConfig::default()).unwrap();
         assert!(sol.converged());
         assert!(sol.attempts[0].applied_shift > 0.0, "shift must be reported");
     }
@@ -417,7 +398,7 @@ mod tests {
             pcg: PcgOptions { rel_tolerance: 1e-12, max_iterations: 1, ..Default::default() },
             ..Default::default()
         };
-        let sol = robust_solve(&a, &b, &m, &cfg).unwrap();
+        let sol = robust_solve(&a, &b, &m, &laddered(), &cfg).unwrap();
         assert!(sol.converged());
         assert_eq!(sol.strategy, SolveStrategy::Direct);
         assert_eq!(sol.attempts.len(), 3, "all three rungs must be recorded");
@@ -437,7 +418,7 @@ mod tests {
             allow_direct: false,
             ..Default::default()
         };
-        let sol = robust_solve(&a, &b, &m, &cfg).unwrap();
+        let sol = robust_solve(&a, &b, &m, &laddered(), &cfg).unwrap();
         assert!(!sol.converged());
         assert_eq!(sol.reason, TerminationReason::MaxIterations);
         assert_eq!(sol.attempts.len(), 2);
@@ -450,19 +431,19 @@ mod tests {
         let mut bad_a = a.clone();
         bad_a.values_mut()[0] = f64::NAN;
         assert!(matches!(
-            robust_solve(&bad_a, &b, &m, &RobustSolveConfig::default()),
+            robust_solve(&bad_a, &b, &m, &laddered(), &RobustSolveConfig::default()),
             Err(SparseError::NonFiniteValue { .. })
         ));
         let mut bad_b = b.clone();
         bad_b[42] = f64::INFINITY;
         assert!(matches!(
-            robust_solve(&a, &bad_b, &m, &RobustSolveConfig::default()),
+            robust_solve(&a, &bad_b, &m, &laddered(), &RobustSolveConfig::default()),
             Err(SparseError::InvalidValue { .. })
         ));
         let mut bad_m = m.clone();
         bad_m.values_mut()[7] = f64::NEG_INFINITY;
         assert!(matches!(
-            robust_solve(&a, &b, &bad_m, &RobustSolveConfig::default()),
+            robust_solve(&a, &b, &bad_m, &laddered(), &RobustSolveConfig::default()),
             Err(SparseError::NonFiniteValue { .. })
         ));
     }
@@ -471,7 +452,7 @@ mod tests {
     fn shape_mismatches_are_typed_errors() {
         let (a, m, b) = system();
         assert!(matches!(
-            robust_solve(&a, &b[..50], &m, &RobustSolveConfig::default()),
+            robust_solve(&a, &b[..50], &m, &laddered(), &RobustSolveConfig::default()),
             Err(SparseError::DimensionMismatch { .. })
         ));
         let small = {
@@ -479,7 +460,7 @@ mod tests {
             laplacian_with_shifts(&g, &[0.1; 9])
         };
         assert!(matches!(
-            robust_solve(&a, &b, &small, &RobustSolveConfig::default()),
+            robust_solve(&a, &b, &small, &laddered(), &RobustSolveConfig::default()),
             Err(SparseError::DimensionMismatch { .. })
         ));
     }

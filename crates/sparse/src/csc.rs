@@ -649,27 +649,46 @@ impl CscMatrix {
     /// service layer's factor cache to key factorizations by matrix
     /// content without retaining the matrix itself.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.nrows as u64);
-        mix(self.ncols as u64);
+        let mut h = Fnv64::default();
+        h.mix(self.nrows as u64);
+        h.mix(self.ncols as u64);
         for &p in &self.colptr {
-            mix(p as u64);
+            h.mix(p as u64);
         }
         for &r in &self.rowidx {
-            mix(r as u64);
+            h.mix(r as u64);
         }
         for &v in &self.values {
-            mix(v.to_bits());
+            h.mix(v.to_bits());
         }
-        h
+        h.finish()
+    }
+}
+
+/// 64-bit FNV-1a over little-endian words: the one hash behind
+/// [`CscMatrix::fingerprint`], [`crate::FactorOptions::fingerprint`] and
+/// the config fingerprints that mix them in.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv64 {
+    /// Mixes the eight little-endian bytes of `word` into the hash.
+    pub fn mix(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every word mixed so far.
+    pub fn finish(self) -> u64 {
+        self.0
     }
 }
 

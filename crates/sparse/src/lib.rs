@@ -72,13 +72,13 @@ pub mod update;
 
 pub use chol::CholeskyFactor;
 pub use coo::CooMatrix;
-pub use csc::{par_axpy, par_dot, par_xpby, CscMatrix};
+pub use csc::{par_axpy, par_dot, par_xpby, CscMatrix, Fnv64};
 pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use multivec::MultiVec;
 pub use perm::Permutation;
 pub use regularize::{
-    factorize_regularized_kernel, scan_non_finite, BoostSchedule, RegularizedFactor,
+    diagonal_scale, scan_non_finite, BoostSchedule, FactorOptions, RegularizedFactor,
 };
 pub use spai::{ApproxInverse, SpaiOptions};
 pub use supernode::{KernelVariant, SupernodePartition};

@@ -41,6 +41,8 @@ impl Ordering {
     /// Computes the permutation for a square symmetric matrix `a` (the full
     /// matrix, not a triangle; only the pattern is used).
     ///
+    /// Runs inside an `order` span (`n`, `nnz`) when tracing is on.
+    ///
     /// Every fill-reducing ordering is refined by
     /// [`etree_postorder_refine`] before being returned — the composition
     /// CHOLMOD applies after AMD. [`Ordering::Natural`] is exempt: its
@@ -53,6 +55,7 @@ impl Ordering {
         if a.nrows() != a.ncols() {
             return Err(SparseError::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
         }
+        let _span = tracered_obs::span!("order", { n: a.ncols(), nnz: a.nnz() });
         let base = match self {
             Ordering::Natural => return Ok(Permutation::identity(a.ncols())),
             Ordering::Rcm => rcm(a),

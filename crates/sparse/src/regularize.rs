@@ -5,13 +5,14 @@
 //! Production sparse solvers (CHOLMOD's `beta` shift, PETSc's
 //! `PCFactorSetShiftType`) recover from marginally indefinite or
 //! near-singular matrices by adding a small multiple of the identity to
-//! the diagonal and refactorizing. [`factorize_regularized_kernel`] brings that
-//! discipline here: on a pivot failure it climbs a geometric shift ladder
-//! ([`BoostSchedule`]) — `σ₀·s, σ₀·g·s, σ₀·g²·s, …` where `s` is the mean
-//! absolute diagonal — until a factorization succeeds, and reports the
-//! applied shift in the returned [`RegularizedFactor`] so callers can
-//! account for the perturbation (e.g. by using the boosted factor as a
-//! preconditioner rather than a direct solve).
+//! the diagonal and refactorizing. [`FactorOptions::factorize`] with a
+//! ladder brings that discipline here: on a pivot failure it climbs a
+//! geometric shift ladder ([`BoostSchedule`]) — `σ₀·s, σ₀·g·s,
+//! σ₀·g²·s, …` where `s` is the mean absolute diagonal — until a
+//! factorization succeeds, and reports the applied shift in the
+//! returned [`RegularizedFactor`] so callers can account for the
+//! perturbation (e.g. by using the boosted factor as a preconditioner
+//! rather than a direct solve).
 //!
 //! The boost is applied to the **input matrix** (one
 //! [`CscMatrix::add_diagonal`] per rung), not smuggled into the numeric
@@ -20,20 +21,20 @@
 //! parallel factorizations of the same boosted matrix agree bit for bit
 //! at every thread count.
 //!
-//! A cheap non-finite input scan ([`scan_non_finite`]) runs first: NaN or
-//! infinite entries are input corruption, not conditioning, and no shift
-//! recovers them — they surface immediately as the typed
-//! [`SparseError::NonFiniteValue`].
+//! With a ladder, a cheap non-finite input scan ([`scan_non_finite`])
+//! runs first: NaN or infinite entries are input corruption, not
+//! conditioning, and no shift recovers them — they surface immediately
+//! as the typed [`SparseError::NonFiniteValue`].
 
 #![warn(clippy::unwrap_used)]
 
 use crate::chol::CholeskyFactor;
-use crate::csc::CscMatrix;
+use crate::csc::{CscMatrix, Fnv64};
 use crate::error::SparseError;
 use crate::order::Ordering;
 use crate::supernode::KernelVariant;
 
-/// Geometric diagonal-boost ladder for [`factorize_regularized_kernel`].
+/// Geometric diagonal-boost ladder of [`FactorOptions::boost`].
 ///
 /// Rung `k` (0-based) shifts the diagonal by
 /// `initial_relative · growthᵏ · scale`, where `scale` is the mean
@@ -137,8 +138,9 @@ pub fn scan_non_finite(a: &CscMatrix) -> Result<(), SparseError> {
     Ok(())
 }
 
-/// Mean absolute diagonal — the natural scale for relative shifts.
-fn diagonal_scale(a: &CscMatrix) -> f64 {
+/// Mean absolute diagonal — the scale the boost ladder's relative shifts
+/// multiply (1.0 for an empty, all-zero or non-finite diagonal).
+pub fn diagonal_scale(a: &CscMatrix) -> f64 {
     let d = a.diagonal();
     if d.is_empty() {
         return 1.0;
@@ -151,29 +153,28 @@ fn diagonal_scale(a: &CscMatrix) -> f64 {
     }
 }
 
-/// Factorizes `a`, retrying with a geometric diagonal-boost ladder on
-/// pivot failure. Every rung factors with the same numeric `kernel` on up
-/// to `threads` pool workers
-/// ([`CholeskyFactor::factorize_with_perm_kernel`]), so the escalation
-/// chain keeps the caller's configured variant end to end.
+/// Everything that defines one factorization: the fill-reducing
+/// ordering, the numeric kernel, the worker-thread budget and the
+/// optional diagonal-boost ladder — the choices CHOLMOD keeps in one
+/// `cholmod_common`. Every option-driven factorization in the workspace
+/// (sparsifier rounds, solver contexts, the robust escalation chain,
+/// contingency fallbacks) goes through [`FactorOptions::factorize`], and
+/// every config that embeds it keys caches on
+/// [`FactorOptions::fingerprint`].
 ///
-/// The fill-reducing permutation is computed once (the boost never
-/// changes the sparsity pattern) and reused across attempts. Because each
-/// attempt factors an explicitly boosted copy of the input, the result is
-/// bit-identical across thread counts, exactly like the underlying
-/// kernels.
+/// The default is [`Ordering::MinDegree`], [`KernelVariant::Scalar`], one
+/// thread and no ladder (fail fast on a non-positive pivot).
 ///
 /// # Example
 ///
-/// An unshifted graph Laplacian is singular — a plain factorization
-/// fails, while the regularized one recovers with a tiny reported shift:
+/// An unshifted graph Laplacian is singular — the fail-fast default
+/// surfaces the pivot failure, while a ladder recovers with a reported
+/// shift:
 ///
 /// ```
-/// use tracered_sparse::order::Ordering;
-/// use tracered_sparse::regularize::{factorize_regularized_kernel, BoostSchedule};
-/// use tracered_sparse::{CholeskyFactor, CooMatrix, KernelVariant};
+/// use tracered_sparse::{BoostSchedule, CooMatrix, FactorOptions, SparseError};
 ///
-/// # fn main() -> Result<(), tracered_sparse::SparseError> {
+/// # fn main() -> Result<(), SparseError> {
 /// // Path-graph Laplacian: positive *semi*-definite, singular.
 /// let mut coo = CooMatrix::new(3, 3);
 /// coo.push(0, 0, 1.0)?;
@@ -183,14 +184,10 @@ fn diagonal_scale(a: &CscMatrix) -> f64 {
 /// coo.push_symmetric(1, 2, -1.0)?;
 /// let l = coo.to_csc();
 ///
-/// assert!(CholeskyFactor::factorize(&l, Ordering::Natural).is_err());
-/// let rf = factorize_regularized_kernel(
-///     &l,
-///     Ordering::Natural,
-///     KernelVariant::Scalar,
-///     1,
-///     &BoostSchedule::default(),
-/// )?;
+/// let fail_fast = FactorOptions::default();
+/// assert!(matches!(fail_fast.factorize(&l), Err(SparseError::NotPositiveDefinite { .. })));
+/// let boosted = FactorOptions { boost: Some(BoostSchedule::default()), ..fail_fast };
+/// let rf = boosted.factorize(&l)?;
 /// assert!(rf.applied_shift > 0.0, "recovery must report its shift");
 /// assert!(rf.attempts >= 2);
 /// // The boosted factor solves the regularized system accurately.
@@ -199,51 +196,144 @@ fn diagonal_scale(a: &CscMatrix) -> f64 {
 /// # Ok(())
 /// # }
 /// ```
-///
-/// # Errors
-///
-/// - [`SparseError::NonFiniteValue`] if the input scan finds NaN/Inf;
-/// - [`SparseError::InvalidValue`] for an invalid [`BoostSchedule`];
-/// - [`SparseError::NotPositiveDefinite`] when even the top rung of the
-///   ladder fails (the last pivot failure is reported);
-/// - any structural error of the underlying factorization
-///   ([`SparseError::NotSquare`] etc.).
-pub fn factorize_regularized_kernel(
-    a: &CscMatrix,
-    ordering: Ordering,
-    kernel: KernelVariant,
-    threads: usize,
-    schedule: &BoostSchedule,
-) -> Result<RegularizedFactor, SparseError> {
-    schedule.validate()?;
-    scan_non_finite(a)?;
-    let perm = ordering.compute(a)?;
-    let mut last =
-        match CholeskyFactor::factorize_with_perm_kernel(a, perm.clone(), kernel, threads) {
-            Ok(factor) => {
-                return Ok(RegularizedFactor { factor, applied_shift: 0.0, attempts: 1 });
-            }
-            Err(e @ SparseError::NotPositiveDefinite { .. }) => e,
-            Err(e) => return Err(e),
-        };
-    let scale = diagonal_scale(a);
-    let n = a.ncols();
-    for attempt in 0..schedule.max_boosts {
-        let shift = schedule.shift_at(attempt, scale);
-        let boosted = a.add_diagonal(&vec![shift; n])?;
-        match CholeskyFactor::factorize_with_perm_kernel(&boosted, perm.clone(), kernel, threads) {
-            Ok(factor) => {
-                return Ok(RegularizedFactor {
-                    factor,
-                    applied_shift: shift,
-                    attempts: attempt + 2,
-                });
-            }
-            Err(e @ SparseError::NotPositiveDefinite { .. }) => last = e,
-            Err(e) => return Err(e),
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FactorOptions {
+    /// Fill-reducing ordering, computed once per factorization.
+    pub ordering: Ordering,
+    /// Numeric Cholesky kernel. The kernels agree only up to rounding, so
+    /// this is part of the fingerprint.
+    pub kernel: KernelVariant,
+    /// Pool workers for the numeric factorization (`None` = the global
+    /// pool size). Every kernel is bit-identical at every count, so this
+    /// is *not* part of the fingerprint.
+    pub threads: Option<usize>,
+    /// Diagonal-boost ladder climbed on a non-positive pivot; `None`
+    /// surfaces the pivot failure as [`SparseError::NotPositiveDefinite`].
+    pub boost: Option<BoostSchedule>,
+}
+
+impl Default for FactorOptions {
+    fn default() -> Self {
+        FactorOptions {
+            ordering: Ordering::MinDegree,
+            kernel: KernelVariant::Scalar,
+            threads: Some(1),
+            boost: None,
         }
     }
-    Err(last)
+}
+
+impl FactorOptions {
+    /// Validates the thread budget and the ladder.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::InvalidValue`] for `threads == Some(0)` or
+    /// an invalid [`BoostSchedule`].
+    pub fn validate(&self) -> Result<(), SparseError> {
+        if self.threads == Some(0) {
+            return Err(SparseError::InvalidValue {
+                what: "factor threads must be at least 1 (use None for auto-detect)".into(),
+            });
+        }
+        match &self.boost {
+            Some(ladder) => ladder.validate(),
+            None => Ok(()),
+        }
+    }
+
+    /// A 64-bit FNV-1a fingerprint over every option that can change the
+    /// factor's values: ordering, kernel and ladder. `threads` is left
+    /// out because the kernels are bit-identical at every thread count,
+    /// so factors that differ only in threads may share a cache slot.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv64::default();
+        // Exhaustive on purpose: a wildcard arm once collapsed distinct
+        // variants onto one tag and let two configs share a cached
+        // factor. A new variant must be a compile error here.
+        h.mix(match self.ordering {
+            Ordering::Natural => 0,
+            Ordering::Rcm => 1,
+            Ordering::MinDegree => 2,
+            Ordering::NestedDissection => 3,
+        });
+        h.mix(match self.kernel {
+            KernelVariant::Scalar => 0,
+            KernelVariant::Supernodal => 1,
+        });
+        match &self.boost {
+            None => h.mix(0),
+            Some(BoostSchedule { initial_relative, growth, max_boosts }) => {
+                h.mix(1);
+                h.mix(initial_relative.to_bits());
+                h.mix(growth.to_bits());
+                h.mix(*max_boosts as u64);
+            }
+        }
+        h.finish()
+    }
+
+    /// Factorizes `a` under these options.
+    ///
+    /// Without a ladder this is exactly `ordering.compute(a)` followed by
+    /// [`CholeskyFactor::factorize_with_perm_kernel`] — no input scan —
+    /// reported as one attempt with no shift.
+    ///
+    /// With a ladder, the ladder is validated and the input scanned for
+    /// NaN/Inf ([`scan_non_finite`]) first; a pivot failure then climbs
+    /// the geometric shift ladder until a factorization succeeds. The
+    /// permutation is computed once (the boost never changes the
+    /// sparsity pattern) and reused across rungs. Each rung factors an
+    /// explicitly boosted copy of the input, so the result is
+    /// bit-identical across thread counts, exactly like the kernels.
+    ///
+    /// # Errors
+    ///
+    /// - [`SparseError::NonFiniteValue`] if the ladder's input scan finds
+    ///   NaN/Inf;
+    /// - [`SparseError::InvalidValue`] for an invalid [`BoostSchedule`];
+    /// - [`SparseError::NotPositiveDefinite`] without a ladder, or when
+    ///   even its top rung fails (the last pivot failure is reported);
+    /// - any structural error of the underlying factorization
+    ///   ([`SparseError::NotSquare`] etc.).
+    pub fn factorize(&self, a: &CscMatrix) -> Result<RegularizedFactor, SparseError> {
+        let threads = tracered_par::effective_threads(self.threads);
+        let Some(ladder) = &self.boost else {
+            let perm = self.ordering.compute(a)?;
+            let factor = CholeskyFactor::factorize_with_perm_kernel(a, perm, self.kernel, threads)?;
+            return Ok(RegularizedFactor { factor, applied_shift: 0.0, attempts: 1 });
+        };
+        ladder.validate()?;
+        scan_non_finite(a)?;
+        let perm = self.ordering.compute(a)?;
+        let mut attempt = 0;
+        loop {
+            // Rung 0 is the matrix as given; rung k > 0 shifts by the
+            // ladder's (k − 1)-th shift.
+            let (shift, boosted) = match attempt {
+                0 => (0.0, None),
+                k => {
+                    let shift = ladder.shift_at(k - 1, diagonal_scale(a));
+                    (shift, Some(a.add_diagonal(&vec![shift; a.ncols()])?))
+                }
+            };
+            let m = boosted.as_ref().unwrap_or(a);
+            match CholeskyFactor::factorize_with_perm_kernel(m, perm.clone(), self.kernel, threads)
+            {
+                Ok(factor) => {
+                    return Ok(RegularizedFactor {
+                        factor,
+                        applied_shift: shift,
+                        attempts: attempt + 1,
+                    })
+                }
+                Err(SparseError::NotPositiveDefinite { .. }) if attempt < ladder.max_boosts => {
+                    attempt += 1;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -275,17 +365,15 @@ mod tests {
         coo.to_csc()
     }
 
+    /// Default options with the default ladder and the given ordering.
+    fn laddered(ordering: Ordering) -> FactorOptions {
+        FactorOptions { ordering, boost: Some(BoostSchedule::default()), ..Default::default() }
+    }
+
     #[test]
     fn spd_input_takes_one_attempt_and_no_shift() {
         let a = spd();
-        let rf = factorize_regularized_kernel(
-            &a,
-            Ordering::MinDegree,
-            KernelVariant::Scalar,
-            1,
-            &BoostSchedule::default(),
-        )
-        .unwrap();
+        let rf = laddered(Ordering::MinDegree).factorize(&a).unwrap();
         assert!(rf.is_unboosted());
         assert_eq!(rf.attempts, 1);
         let x = rf.factor.solve(&[1.0, 2.0, 3.0, 4.0]);
@@ -299,14 +387,7 @@ mod tests {
             CholeskyFactor::factorize(&l, Ordering::Natural),
             Err(SparseError::NotPositiveDefinite { .. })
         ));
-        let rf = factorize_regularized_kernel(
-            &l,
-            Ordering::Natural,
-            KernelVariant::Scalar,
-            1,
-            &BoostSchedule::default(),
-        )
-        .unwrap();
+        let rf = laddered(Ordering::Natural).factorize(&l).unwrap();
         assert!(rf.applied_shift > 0.0);
         assert!(!rf.is_unboosted());
         assert!(rf.attempts >= 2);
@@ -319,23 +400,10 @@ mod tests {
     #[test]
     fn boosted_factor_is_bit_identical_across_thread_counts() {
         let l = singular_laplacian();
-        let serial = factorize_regularized_kernel(
-            &l,
-            Ordering::MinDegree,
-            KernelVariant::Scalar,
-            1,
-            &BoostSchedule::default(),
-        )
-        .unwrap();
+        let serial = laddered(Ordering::MinDegree).factorize(&l).unwrap();
         for threads in [2usize, 4] {
-            let par = factorize_regularized_kernel(
-                &l,
-                Ordering::MinDegree,
-                KernelVariant::Scalar,
-                threads,
-                &BoostSchedule::default(),
-            )
-            .unwrap();
+            let opts = FactorOptions { threads: Some(threads), ..laddered(Ordering::MinDegree) };
+            let par = opts.factorize(&l).unwrap();
             assert_eq!(par.applied_shift, serial.applied_shift);
             assert_eq!(par.attempts, serial.attempts);
             assert_eq!(par.factor.l().values(), serial.factor.l().values());
@@ -347,14 +415,7 @@ mod tests {
         let mut a = spd();
         a.values_mut()[2] = f64::NAN;
         assert!(matches!(scan_non_finite(&a), Err(SparseError::NonFiniteValue { .. })));
-        let err = factorize_regularized_kernel(
-            &a,
-            Ordering::Natural,
-            KernelVariant::Scalar,
-            1,
-            &BoostSchedule::default(),
-        )
-        .expect_err("NaN input must not factor");
+        let err = laddered(Ordering::Natural).factorize(&a).expect_err("NaN input must not factor");
         assert!(matches!(err, SparseError::NonFiniteValue { .. }));
         let mut b = spd();
         *b.values_mut().last_mut().unwrap() = f64::INFINITY;
@@ -373,15 +434,15 @@ mod tests {
         }
         let a = coo.to_csc();
         let short = BoostSchedule { initial_relative: 1e-10, growth: 10.0, max_boosts: 3 };
-        let err =
-            factorize_regularized_kernel(&a, Ordering::Natural, KernelVariant::Scalar, 1, &short)
-                .expect_err("short ladder cannot rescue -I");
+        let err = FactorOptions { boost: Some(short), ..laddered(Ordering::Natural) }
+            .factorize(&a)
+            .expect_err("short ladder cannot rescue -I");
         assert!(matches!(err, SparseError::NotPositiveDefinite { .. }));
         // A ladder that climbs past |diag| does rescue it.
         let tall = BoostSchedule { initial_relative: 1e-2, growth: 100.0, max_boosts: 4 };
-        let rf =
-            factorize_regularized_kernel(&a, Ordering::Natural, KernelVariant::Scalar, 1, &tall)
-                .unwrap();
+        let rf = FactorOptions { boost: Some(tall), ..laddered(Ordering::Natural) }
+            .factorize(&a)
+            .unwrap();
         assert!(rf.applied_shift > 1.0);
     }
 
@@ -395,10 +456,13 @@ mod tests {
             BoostSchedule { growth: f64::INFINITY, ..Default::default() },
             BoostSchedule { max_boosts: 0, ..Default::default() },
         ] {
-            let res =
-                factorize_regularized_kernel(&a, Ordering::Natural, KernelVariant::Scalar, 1, &bad);
-            assert!(matches!(res, Err(SparseError::InvalidValue { .. })));
+            let opts = FactorOptions { boost: Some(bad), ..laddered(Ordering::Natural) };
+            assert!(matches!(opts.validate(), Err(SparseError::InvalidValue { .. })));
+            assert!(matches!(opts.factorize(&a), Err(SparseError::InvalidValue { .. })));
         }
+        let zero_threads = FactorOptions { threads: Some(0), ..Default::default() };
+        assert!(matches!(zero_threads.validate(), Err(SparseError::InvalidValue { .. })));
+        assert!(FactorOptions { threads: None, ..Default::default() }.validate().is_ok());
     }
 
     #[test]
@@ -407,5 +471,51 @@ mod tests {
         let scale = 2.0;
         assert!((s.shift_at(1, scale) / s.shift_at(0, scale) - s.growth).abs() < 1e-9);
         assert!((s.shift_at(3, scale) / s.shift_at(2, scale) - s.growth).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fail_fast_surfaces_the_pivot_failure_a_ladder_recovers() {
+        let l = singular_laplacian();
+        for kernel in [KernelVariant::Scalar, KernelVariant::Supernodal] {
+            let fail_fast = FactorOptions { kernel, ..Default::default() };
+            let err = fail_fast.factorize(&l).expect_err("singular input must not factor");
+            assert!(matches!(err, SparseError::NotPositiveDefinite { .. }));
+            let laddered = FactorOptions { boost: Some(BoostSchedule::default()), ..fail_fast };
+            assert!(laddered.factorize(&l).unwrap().applied_shift > 0.0);
+        }
+        // On SPD input the fail-fast path is exactly the kernel entry point.
+        let a = spd();
+        let rf = FactorOptions::default().factorize(&a).unwrap();
+        assert_eq!((rf.attempts, rf.applied_shift), (1, 0.0));
+        let perm = Ordering::MinDegree.compute(&a).unwrap();
+        let direct =
+            CholeskyFactor::factorize_with_perm_kernel(&a, perm, KernelVariant::Scalar, 1).unwrap();
+        assert_eq!(rf.factor.l().values(), direct.l().values());
+        // It runs no input scan: a NaN pivot fails in the kernel.
+        let mut nan = spd();
+        nan.values_mut()[0] = f64::NAN;
+        let err = FactorOptions::default().factorize(&nan).expect_err("NaN pivot cannot factor");
+        assert!(matches!(err, SparseError::NotPositiveDefinite { .. }));
+    }
+
+    #[test]
+    fn fingerprints_are_pairwise_distinct_and_thread_blind() {
+        let mut seen: Vec<(FactorOptions, u64)> = Vec::new();
+        for ordering in
+            [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree, Ordering::NestedDissection]
+        {
+            for kernel in [KernelVariant::Scalar, KernelVariant::Supernodal] {
+                for boost in [None, Some(BoostSchedule::default())] {
+                    let opts = FactorOptions { ordering, kernel, threads: Some(1), boost };
+                    let fp = opts.fingerprint();
+                    for threads in [Some(4), None] {
+                        assert_eq!(fp, FactorOptions { threads, ..opts }.fingerprint());
+                    }
+                    assert!(seen.iter().all(|&(_, other)| other != fp), "{opts:?} collides");
+                    seen.push((opts, fp));
+                }
+            }
+        }
+        assert_eq!(seen.len(), 16);
     }
 }

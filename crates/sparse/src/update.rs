@@ -26,7 +26,7 @@
 //!   [`SparseError::NotPositiveDefinite`] with the factor restored
 //!   bit-for-bit to its pre-call state. Callers escalate exactly like a
 //!   failed factorization — e.g. re-assemble and retry through the
-//!   [`crate::regularize::factorize_regularized_kernel`] boost ladder.
+//!   boost ladder of [`crate::regularize::FactorOptions::factorize`].
 //! - **Revert is bit-exact.** Hyperbolic rotations are not exact
 //!   inverses in floating point, so "update then downdate with the same
 //!   vector" replayed numerically would drift in the last ulps. Each
@@ -136,7 +136,7 @@ impl CholeskyFactor {
     /// column where the pivot died, with the factor restored. Callers
     /// fall back exactly as for a failed factorization — re-assemble the
     /// perturbed matrix and escalate through
-    /// [`crate::regularize::factorize_regularized_kernel`].
+    /// [`crate::regularize::FactorOptions::factorize`] with a ladder.
     pub fn downdate(&mut self, w: &[f64]) -> Result<UpdateReport, SparseError> {
         self.rank_one(w, -1)
     }

@@ -272,11 +272,11 @@ proptest! {
 
 /// Deterministic (non-property) composition check: a downdate that
 /// kills positive definiteness escalates cleanly through the
-/// `factorize_regularized_kernel` boost ladder on the re-assembled matrix —
+/// `FactorOptions::factorize` boost ladder on the re-assembled matrix —
 /// the fallback route the contingency sweep takes.
 #[test]
 fn failed_downdate_composes_with_regularized_refactorization() {
-    use tracered_sparse::{factorize_regularized_kernel, BoostSchedule};
+    use tracered_sparse::{BoostSchedule, FactorOptions};
 
     let a = grid_spd(6, 6, 1e-9, 7);
     let n = a.ncols();
@@ -291,13 +291,13 @@ fn failed_downdate_composes_with_regularized_refactorization() {
     // …and the caller re-assembles A − v vᵀ and climbs the ladder; the
     // boosted factor is still usable as a (degraded) preconditioner.
     let ap = perturbed(&a, &vec, -1.0);
-    let reg = factorize_regularized_kernel(
-        &ap,
-        Ordering::MinDegree,
-        KernelVariant::Scalar,
-        1,
-        &BoostSchedule::default(),
-    );
+    let opts = FactorOptions {
+        ordering: Ordering::MinDegree,
+        kernel: KernelVariant::Scalar,
+        threads: Some(1),
+        boost: Some(BoostSchedule::default()),
+    };
+    let reg = opts.factorize(&ap);
     assert!(reg.is_ok());
     assert!(!reg.unwrap().is_unboosted());
 }

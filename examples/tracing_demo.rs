@@ -103,6 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sparsify.score.tree",
         "sparsify.spai",
         "sparsify.score.subgraph",
+        "order",
         "chol.factorize",
         "chol.numeric",
         "service.linger",

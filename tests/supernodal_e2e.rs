@@ -15,7 +15,7 @@ use tracered_solver::pcg::{pcg, PcgOptions};
 use tracered_solver::precond::CholPreconditioner;
 use tracered_solver::robust::{robust_solve, RobustSolveConfig, SolveStrategy};
 use tracered_sparse::order::Ordering;
-use tracered_sparse::{CholeskyFactor, KernelVariant};
+use tracered_sparse::{BoostSchedule, CholeskyFactor, FactorOptions, KernelVariant};
 
 /// Documented cross-variant tolerance: relative `∞`-norm gap between
 /// solution vectors produced under the two kernels.
@@ -99,11 +99,15 @@ fn robust_escalation_honors_configured_ordering_and_kernel() {
     let b: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64) - 8.0).collect();
     let cfg = RobustSolveConfig {
         pcg: PcgOptions { rel_tolerance: 1e-10, max_iterations: 1, ..Default::default() },
-        ordering: Ordering::NestedDissection,
-        kernel: KernelVariant::Supernodal,
         ..Default::default()
     };
-    let sol = robust_solve(&a, &b, &m, &cfg).unwrap();
+    let factor = FactorOptions {
+        ordering: Ordering::NestedDissection,
+        kernel: KernelVariant::Supernodal,
+        threads: Some(1),
+        boost: Some(BoostSchedule::default()),
+    };
+    let sol = robust_solve(&a, &b, &m, &factor, &cfg).unwrap();
     assert!(sol.converged());
     assert_eq!(sol.strategy, SolveStrategy::Direct);
     assert!(a.residual_inf_norm(&sol.x, &b) < 1e-6);
