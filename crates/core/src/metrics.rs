@@ -29,6 +29,7 @@ pub fn relative_condition_number(
     if n == 0 {
         return 1.0;
     }
+    let _span = tracered_obs::span!("kappa", { n, iters });
     let mut rng = StdRng::seed_from_u64(seed);
     let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
     let mut lgv = vec![0.0f64; n];

@@ -275,7 +275,10 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
     let budget =
         ((cfg.edge_fraction_value() * n as f64).round() as usize).min(st.off_tree_edges.len());
     let nr = cfg.num_iterations();
-    let lg = laplacian_with_shifts(g, &shifts);
+    let lg = {
+        let _span = tracered_obs::span!("sparsify.laplacian", { edges: g.num_edges() });
+        laplacian_with_shifts(g, &shifts)
+    };
     let threads = tracered_par::effective_threads(cfg.threads_value());
     let factor_threads = tracered_par::effective_threads(cfg.factor_threads_value());
     let mut rng = probe_rng(cfg.seed_value());
@@ -330,7 +333,10 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
         // factor.
         let subgraph_factor = |stats: &mut IterationStats| {
             let t_factor = Timer::start("sparsify.factor");
+            let laplacian_span =
+                tracered_obs::span!("sparsify.laplacian", { edges: selected.len() });
             let ls = subgraph_laplacian(g, &selected, &shifts);
+            drop(laplacian_span);
             let factor = cfg.factor_options().factorize(&ls).map(|rf| stats.keep(rf));
             stats.factor_time = t_factor.stop();
             factor
@@ -408,6 +414,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
         stats.score_time = t_score.stop();
 
         // --- Rank and recover the iteration quota. ---
+        let recover_span = tracered_obs::span!("sparsify.recover", { quota });
         let mut order: Vec<usize> = (0..candidates.len()).collect();
         order.sort_unstable_by(|&a, &b| {
             scores[b].total_cmp(&scores[a]).then_with(|| candidates[a].cmp(&candidates[b]))
@@ -454,6 +461,7 @@ pub fn sparsify(g: &Graph, cfg: &SparsifyConfig) -> Result<Sparsifier, CoreError
             }
         }
         candidates = next_candidates;
+        drop(recover_span);
         remaining -= picked;
         stats.recovered = picked;
         if let Some(g) = iter_span.as_mut() {

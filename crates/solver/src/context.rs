@@ -115,7 +115,10 @@ impl SolverContext {
         }
         factor.validate()?;
         scan_non_finite(&system)?;
-        scan_non_finite(&precond_matrix)?;
+        // With a ladder, `factorize` scans the preconditioner matrix itself.
+        if factor.boost.is_none() {
+            scan_non_finite(&precond_matrix)?;
+        }
         let rf = factor.factorize(&precond_matrix)?;
         Ok(SolverContext {
             system,
@@ -357,6 +360,26 @@ mod tests {
             SolverContext::build_with(Arc::new(bad), a, &laddered()),
             Err(SparseError::NonFiniteValue { .. })
         ));
+    }
+
+    #[test]
+    fn nan_preconditioner_is_a_typed_error_with_and_without_a_ladder() {
+        // The entry points leave the scan of the preconditioner matrix to
+        // `factorize` when it has a ladder; the error must not change.
+        let (a, m, b) = system();
+        let mut bad = (*m).clone();
+        bad.values_mut()[5] = f64::NAN;
+        let bad = Arc::new(bad);
+        for opts in [FactorOptions::default(), laddered()] {
+            assert!(matches!(
+                SolverContext::build_with(Arc::clone(&a), Arc::clone(&bad), &opts),
+                Err(SparseError::NonFiniteValue { .. })
+            ));
+            assert!(matches!(
+                robust_solve(&a, &b, &bad, &opts, &RobustSolveConfig::default()),
+                Err(SparseError::NonFiniteValue { .. })
+            ));
+        }
     }
 
     #[test]

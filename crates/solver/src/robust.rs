@@ -209,7 +209,10 @@ pub fn robust_solve(
     }
     factor.validate()?;
     scan_non_finite(a)?;
-    scan_non_finite(precond_matrix)?;
+    // With a ladder, `factorize` scans the preconditioner matrix itself.
+    if factor.boost.is_none() {
+        scan_non_finite(precond_matrix)?;
+    }
     if let Some(i) = b.iter().position(|v| !v.is_finite()) {
         return Err(SparseError::InvalidValue {
             what: format!("non-finite right-hand side entry at index {i}"),
@@ -220,11 +223,13 @@ pub fn robust_solve(
     // unfactorizable preconditioner is not fatal — the chain continues
     // without it. Callers holding a `SolverContext` skip this per-call
     // cost entirely via `robust_solve_shared`.
-    let stage1 = factor.factorize(precond_matrix).ok().map(
-        |RegularizedFactor { factor, applied_shift, .. }| {
-            (CholPreconditioner::from_factor(factor), applied_shift)
-        },
-    );
+    let stage1 = match factor.factorize(precond_matrix) {
+        Ok(RegularizedFactor { factor, applied_shift, .. }) => {
+            Some((CholPreconditioner::from_factor(factor), applied_shift))
+        }
+        Err(e @ SparseError::NonFiniteValue { .. }) => return Err(e),
+        Err(_) => None,
+    };
     robust_core(a, precond_matrix, stage1.as_ref().map(|(p, s)| (p, *s)), b, factor, cfg)
 }
 

@@ -297,8 +297,13 @@ impl CscMatrix {
         assert_eq!(x.nrows(), self.ncols, "block rows must equal ncols");
         assert_eq!(y.nrows(), self.nrows, "output rows must equal nrows");
         assert_eq!(y.ncols(), x.ncols(), "output width must match input width");
-        y.fill_zero();
         let k = x.ncols();
+        if k == 1 {
+            // The same j-ascending scatter with the same zero skip, without
+            // the per-entry column lookups.
+            return self.matvec_into(x.col(0), y.col_mut(0));
+        }
+        y.fill_zero();
         for j in 0..self.ncols {
             for c in 0..k {
                 let xj = x.col(c)[j];
@@ -861,6 +866,44 @@ mod tests {
             for (s, m) in single.iter().zip(y.col(c).iter()) {
                 assert_eq!(s.to_bits(), m.to_bits(), "column {c}");
             }
+        }
+    }
+
+    #[test]
+    fn mul_multi_width_one_matches_the_blocked_scatter_bitwise() {
+        // Width 1 runs the `matvec_into` loop; it must give the bits the
+        // blocked loop gives that column, zero entries (±0.0) included.
+        let n = 40;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 2.5 + (i % 3) as f64).unwrap();
+            coo.push_symmetric(i, (i * 7 + 5) % n, -0.3 - (i % 5) as f64 * 0.1).unwrap();
+        }
+        let a = coo.to_csc();
+        let cols: Vec<Vec<f64>> = vec![
+            (0..n).map(|i| (i as f64 * 0.37).sin()).collect(),
+            (0..n)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        0.0
+                    } else if i % 3 == 1 {
+                        -0.0
+                    } else {
+                        1e-3 * i as f64
+                    }
+                })
+                .collect(),
+            vec![0.0; n],
+        ];
+        for col in &cols {
+            let wide = MultiVec::from_columns(&[col.as_slice(), cols[0].as_slice()]).unwrap();
+            let blocked = a.mul_multi(&wide);
+            let x = MultiVec::from_columns(&[col.as_slice()]).unwrap();
+            let mut y = MultiVec::from_columns(&[vec![f64::NAN; n].as_slice()]).unwrap();
+            a.mul_multi_into(&x, &mut y);
+            let bits = |v: &[f64]| v.iter().map(|z| z.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(y.col(0)), bits(blocked.col(0)));
+            assert_eq!(bits(y.col(0)), bits(&a.matvec(col)));
         }
     }
 

@@ -1,7 +1,8 @@
 //! Observability end-to-end: run the paper pipeline — sparsify a power
-//! grid, publish the context, serve 100 PCG requests — with tracing
-//! enabled, then print the hierarchical span report and the service's
-//! live latency histogram, and export a `chrome://tracing` trace.
+//! grid, estimate its κ, publish the context, serve 100 PCG requests —
+//! with tracing enabled, then print the hierarchical span report and the
+//! service's live latency histogram, and export a `chrome://tracing`
+//! trace.
 //!
 //! The exported JSON loads directly in `chrome://tracing` or
 //! <https://ui.perfetto.dev>: spans nest by thread (the aggregator's
@@ -21,10 +22,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use tracered_core::metrics::relative_condition_number;
 use tracered_core::{sparsify, Method, SparsifyConfig};
 use tracered_graph::laplacian::ShiftPolicy;
 use tracered_powergrid::synth::{synthesize, SynthConfig};
 use tracered_service::{ContextSpec, ServiceConfig, ServiceRequest, SolverService};
+use tracered_sparse::order::Ordering;
+use tracered_sparse::CholeskyFactor;
 
 fn rhs(n: usize, seed: u64) -> Vec<f64> {
     (0..n)
@@ -56,6 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sp_cfg = SparsifyConfig::new(Method::TraceReduction)
         .shift(ShiftPolicy::PerNode(pg.pad_conductance().to_vec()));
     let sp = sparsify(pg.graph(), &sp_cfg)?;
+    let lp_factor = CholeskyFactor::factorize(&sp.laplacian(pg.graph()), Ordering::MinDegree)?;
+    let kappa = relative_condition_number(&sp.graph_laplacian(pg.graph()), &lp_factor, 30, 1);
+    println!("sparsifier: {} edges, κ ≈ {kappa:.2}", sp.edge_ids().len());
 
     // Phase 2: publish (factorizes the preconditioner once) and serve a
     // burst of 100 compatible requests through the aggregator.
@@ -99,11 +106,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in [
         "sparsify",
         "sparsify.tree",
+        "sparsify.laplacian",
         "sparsify.iter",
         "sparsify.score.tree",
         "sparsify.spai",
         "sparsify.score.subgraph",
+        "sparsify.recover",
         "order",
+        "kappa",
         "chol.factorize",
         "chol.numeric",
         "service.linger",
